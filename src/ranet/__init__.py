@@ -26,21 +26,8 @@ from .core import (
     save_image,
 )
 from .datagen import SceneSpec, gen_dataset, gen_scene, load_split
-from .evaluate import (
-    EvalReport,
-    count_metrics,
-    evaluate_checkpoint,
-    evaluate_manifest,
-    evaluate_scenes,
-)
-from .network import (
-    ForwardResult,
-    NetConfig,
-    full_forward,
-    init_params,
-    predict,
-    priority_of,
-)
+from .evaluate import EvalReport, count_metrics, evaluate_checkpoint, evaluate_scenes
+from .network import ForwardResult, NetConfig, forward, full_forward, init_params, predict
 from .region_aware import RAConfig, RelevanceMatrix, embed, enhance, ra_apply, relevance, similarity
 from .training import (
     EpochStats,

@@ -22,12 +22,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tensor
+from .core import ConfigDoc
 
 _PREFACTOR = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
-class BayesParams:
+class BayesParams(ConfigDoc):
     """delta: Gaussian spread in pixels; d_ratio: background-band margin as a
     fraction of the shorter crop side (converted to pixels per evaluation)."""
 

@@ -1,6 +1,7 @@
 """Command-line surface: gen / train / eval / infer / ra.
 
-Exit codes: 0 success, 1 usage error, 2 data or format error.
+Exit codes: 0 success, 1 usage error, 2 data or format error (a malformed or
+inconsistent file, a missing file, a wrong image shape, non-finite numbers).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeError
+from .autodiff import NumericError, ShapeError
 from .bayes import BayesParams
 from .core import (
     DensityMap,
@@ -23,7 +24,7 @@ from .core import (
 )
 from .datagen import SceneSpec, gen_dataset, load_split
 from .evaluate import evaluate_checkpoint
-from .network import NetConfig, predict
+from .network import NetConfig, padded_shape, predict
 from .region_aware import RAConfig, enhance
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
 
@@ -53,19 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--max-heads", type=int, default=15)
     p_gen.add_argument("--noise", type=float, default=0.05)
 
+    train_defaults = TrainConfig()
     p_train = sub.add_parser("train", help="train on a generated dataset")
     p_train.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p_train.add_argument("--out", required=True, help="checkpoint path to write")
-    p_train.add_argument("--epochs", type=int, default=30)
-    p_train.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p_train.add_argument("--batch", type=int, default=8)
-    p_train.add_argument("--crop", type=int, default=64)
-    p_train.add_argument("--delta", type=float, default=16.0,
+    p_train.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p_train.add_argument("--lr", type=float, default=train_defaults.lr)
+    p_train.add_argument("--batch", type=int, default=train_defaults.batch_size)
+    p_train.add_argument("--crop", type=int, default=train_defaults.crop)
+    p_train.add_argument("--delta", type=float, default=train_defaults.bayes.delta,
                          help="Gaussian spread of the point-supervision loss, pixels")
-    p_train.add_argument("--d-ratio", type=float, default=0.1,
+    p_train.add_argument("--d-ratio", type=float, default=train_defaults.bayes.d_ratio,
                          help="background margin as a fraction of the shorter crop side")
-    p_train.add_argument("--ra-temp", type=float, default=1.0)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--ra-temp", type=float, default=train_defaults.net.ra.temperature)
+    p_train.add_argument("--seed", type=int, default=train_defaults.seed)
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
     p_train.add_argument("--two-tower", action="store_true",
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ra.add_argument("--priority", required=True)
     p_ra.add_argument("--out", required=True)
     p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
-    p_ra.add_argument("--temp", type=float, default=1.0)
+    p_ra.add_argument("--temp", type=float, default=RAConfig.temperature)
     return parser
 
 
@@ -143,37 +145,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _pad_to_multiple_of_8(pixels: np.ndarray) -> tuple[np.ndarray, int, int]:
-    h, w = pixels.shape
-    ph = (-h) % 8 if h >= 16 else 16 - h
-    pw = (-w) % 8 if w >= 16 else 16 - w
-    return np.pad(pixels, ((0, ph), (0, pw)), mode="reflect"), h, w
-
-
 def _cmd_infer(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
     img = load_image(args.image)
-    pixels = img.pixels
-    h, w = pixels.shape
-    if h % 8 or w % 8 or h < 16 or w < 16:
+    h, w = img.height, img.width
+    ph, pw = padded_shape(h, w)
+    if (ph, pw) != (h, w):
         if not args.pad:
-            need_h = max(-(-h // 8) * 8, 16)
-            need_w = max(-(-w // 8) * 8, 16)
-            raise ShapeError(
-                f"image is {h}x{w}; pass --pad to reflect-pad to {need_h}x{need_w}"
-            )
-        padded, h, w = _pad_to_multiple_of_8(pixels)
-        dmap, _ = predict(GrayImage(padded), params, cfg.net)
-        density = dmap.values[:h, :w]
-    else:
-        dmap, _ = predict(img, params, cfg.net)
-        density = dmap.values
-    out_map = DensityMap(density)
+            raise ShapeError(f"image is {h}x{w}; pass --pad to reflect-pad to {ph}x{pw}")
+        img = GrayImage(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
+    dmap, _ = predict(img, params, cfg.net)
+    out_map = DensityMap(dmap.values[:h, :w])
     save_density(out_map, args.out)
     if args.viz:
-        peak = float(density.max())
-        rendered = density / peak if peak > 0 else np.zeros_like(density)
-        save_image(GrayImage(rendered.astype(np.float64)), args.viz)
+        _save_peak_normalized(out_map.values, args.viz)
     print(f"count={out_map.count:.6f}")
     return 0
 
@@ -188,11 +173,14 @@ def _cmd_ra(args) -> int:
     enhanced = enhance(image.pixels, priority.pixels, RAConfig(temperature=args.temp))
     save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
     if args.diff:
-        diff = np.abs(enhanced - image.pixels)
-        peak = float(diff.max())
-        rendering = diff / peak if peak > 0 else np.zeros_like(diff)
-        save_image(GrayImage(rendering), args.diff)
+        _save_peak_normalized(np.abs(enhanced - image.pixels), args.diff)
     return 0
+
+
+def _save_peak_normalized(values: np.ndarray, path) -> None:
+    """Render a non-negative map as a PGM whose maximum is white."""
+    peak = float(values.max())
+    save_image(GrayImage(values / peak if peak > 0 else np.zeros_like(values)), path)
 
 
 _COMMANDS = {
@@ -212,7 +200,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, ShapeError, TrainingError) as exc:
+    except (FormatError, FileNotFoundError, IsADirectoryError, NumericError, ShapeError,
+            TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

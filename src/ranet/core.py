@@ -6,13 +6,16 @@ freely across threads.  File formats:
 * images: binary PGM (magic ``P5``, ASCII width/height, maxval 255),
 * annotations: JSON object with a ``points`` list of ``[x, y]`` pairs,
 * density maps: ``RADM`` header + row-major little-endian float32 payload.
+
+Config dataclasses serialize to JSON-ready dicts derived from their fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -169,6 +172,66 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
+# Config documents
+# ---------------------------------------------------------------------------
+
+
+class ConfigDoc:
+    """Mixin giving a config dataclass ``to_dict`` / ``from_dict`` derived from its fields.
+
+    Tuples are stored as lists and a nested config as a nested dict, unless
+    its field carries ``metadata={"prefix": p}``: then its fields are stored
+    flattened into the parent, each key prefixed with ``p``.
+    """
+
+    def to_dict(self) -> dict:
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "prefix" in f.metadata:
+                doc.update({f.metadata["prefix"] + k: v for k, v in value.to_dict().items()})
+            elif isinstance(value, ConfigDoc):
+                doc[f.name] = value.to_dict()
+            else:
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict, prefix: str = ""):
+        """Inverse of ``to_dict``; FormatError on a missing key or a mistyped value."""
+        if not isinstance(doc, dict):
+            raise FormatError(f"{cls.__name__} document must be a JSON object")
+        hints = get_type_hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            hint = hints[f.name]
+            if "prefix" in f.metadata:
+                kwargs[f.name] = hint.from_dict(doc, prefix + f.metadata["prefix"])
+                continue
+            key = prefix + f.name
+            if key not in doc:
+                raise FormatError(f"config key {key!r} is missing")
+            value = doc[key]
+            if issubclass(get_origin(hint) or hint, ConfigDoc):
+                kwargs[f.name] = hint.from_dict(value)
+            elif _fits(value, hint):
+                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+            else:
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise FormatError(f"config key {key!r}: {value!r:.40} is not a valid {expected}")
+        return cls(**kwargs)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field of type ``hint`` (floats finite)."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if hint is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is hint
+
+
+# ---------------------------------------------------------------------------
 # PGM image I/O
 # ---------------------------------------------------------------------------
 
@@ -212,8 +275,8 @@ def load_image(path) -> GrayImage:
             tok, end = next(tokens)
         except StopIteration:
             raise FormatError(f"{path}: truncated header, missing {name}") from None
-        if not tok.isdigit():
-            raise FormatError(f"{path}: non-numeric {name} field {tok!r}")
+        if not tok.isdigit() or len(tok) > 9:
+            raise FormatError(f"{path}: non-numeric or oversized {name} field {tok!r}")
         fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
@@ -250,13 +313,21 @@ def quantize_image(img: GrayImage) -> GrayImage:
 # ---------------------------------------------------------------------------
 
 
+def load_json(path):
+    """Parse a UTF-8 JSON file; FormatError when it is not one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
 def load_annotations(path) -> PointAnnotations:
     """Read a JSON annotation file: object with a 'points' list of [x, y] pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = load_json(path)
     if not isinstance(doc, dict) or "points" not in doc:
         raise FormatError(f"{path}: missing top-level 'points' key")
     raw = doc["points"]
@@ -270,7 +341,10 @@ def load_annotations(path) -> PointAnnotations:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise FormatError(f"{path}: points[{i}] is not a numeric [x, y] pair")
-        x, y = float(entry[0]), float(entry[1])
+        try:
+            x, y = float(entry[0]), float(entry[1])
+        except OverflowError:
+            x = y = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
             raise FormatError(f"{path}: points[{i}] has a non-finite coordinate")
         if x < 0 or y < 0:
@@ -350,4 +424,7 @@ def load_density(path) -> DensityMap:
             f"needs {expected}"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(int(height), int(width))
-    return DensityMap(values.astype(np.float64))
+    try:
+        return DensityMap(values.astype(np.float64))
+    except ValueError as exc:  # empty, non-finite or negative values
+        raise FormatError(f"{path}: {exc}") from None

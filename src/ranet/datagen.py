@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    FormatError,
     GrayImage,
     PointAnnotations,
     Scene,
     load_annotations,
     load_density,
     load_image,
+    load_json,
     rasterize_density,
     save_annotations,
     save_density,
@@ -30,6 +32,7 @@ from .core import (
 )
 
 DENSITY_SIGMA = 2.0  # reference-density Gaussian spread, pixels
+MANIFEST_KEYS = ("image", "annotations", "density")  # relative paths per manifest entry
 
 HEAD_PEAK_LO, HEAD_PEAK_HI = 0.85, 1.0
 CLUTTER_PEAK_LO, CLUTTER_PEAK_HI = 0.15, 0.30
@@ -163,11 +166,18 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
 
 
 def load_manifest(manifest_path) -> dict:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read manifest.json; FormatError unless both splits list path entries."""
+    doc = load_json(manifest_path)
     for split in ("train", "test"):
-        if split not in doc or not isinstance(doc[split], list):
-            raise ValueError(f"{manifest_path}: manifest is missing the '{split}' list")
+        if not isinstance(doc, dict) or not isinstance(doc.get(split), list):
+            raise FormatError(f"{manifest_path}: manifest is missing the '{split}' list")
+        for i, entry in enumerate(doc[split]):
+            if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(key), str) for key in MANIFEST_KEYS
+            ):
+                raise FormatError(
+                    f"{manifest_path}: {split}[{i}] needs {', '.join(MANIFEST_KEYS)} paths"
+                )
     return doc
 
 
@@ -182,5 +192,8 @@ def load_split(manifest_path, split: str, with_density: bool = False) -> list[Sc
         img = load_image(base / entry["image"])
         ann = load_annotations(base / entry["annotations"])
         density = load_density(base / entry["density"]) if with_density else None
-        scenes.append(Scene(img, ann, density))
+        try:
+            scenes.append(Scene(img, ann, density))
+        except ValueError as exc:  # the files disagree with each other
+            raise FormatError(f"{base / entry['annotations']}: {exc}") from None
     return scenes

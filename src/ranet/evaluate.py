@@ -14,6 +14,7 @@ import numpy as np
 from .core import Scene
 from .datagen import load_split
 from .network import ModelParams, NetConfig, predict
+from .training import load_checkpoint
 
 
 def count_metrics(estimated, ground_truth) -> tuple[float, float]:
@@ -38,10 +39,6 @@ class EvalReport:
     @property
     def n_images(self) -> int:
         return len(self.predicted)
-
-    @property
-    def abs_errors(self) -> tuple[float, ...]:
-        return tuple(abs(p - g) for p, g in zip(self.predicted, self.ground_truth))
 
     @property
     def mae(self) -> float:
@@ -74,13 +71,7 @@ def evaluate_scenes(scenes: list[Scene], params: ModelParams, cfg: NetConfig) ->
     return EvalReport(tuple(predicted), tuple(ground_truth))
 
 
-def evaluate_manifest(manifest_path, split: str, params: ModelParams, cfg: NetConfig) -> EvalReport:
-    return evaluate_scenes(load_split(manifest_path, split), params, cfg)
-
-
 def evaluate_checkpoint(checkpoint_path, manifest_path, split: str) -> EvalReport:
     """Load a checkpoint and score one split of a dataset manifest."""
-    from .training import load_checkpoint
-
     params, cfg = load_checkpoint(checkpoint_path)
-    return evaluate_manifest(manifest_path, split, params, cfg.net)
+    return evaluate_scenes(load_split(manifest_path, split), params, cfg.net)

@@ -14,25 +14,25 @@ network at float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .bayes import BayesParams, bayes_loss
-from .core import DensityMap, GrayImage, PriorityMap
+from .core import ConfigDoc, DensityMap, GrayImage, PriorityMap
 from .region_aware import RAConfig, ra_apply
 
 ModelParams = dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
-class NetConfig:
+class NetConfig(ConfigDoc):
     widths: tuple[int, ...] = (8, 16, 32, 32)
     pool_grids: tuple[int, ...] = (1, 2, 3, 6)
     dilation_rates: tuple[int, ...] = (1, 2, 3, 4)
-    ra: RAConfig = field(default_factory=RAConfig)
+    ra: RAConfig = field(default_factory=RAConfig, metadata={"prefix": "ra_"})
     seed: int = 0
     two_tower: bool = False
     context_channels: int = 8
@@ -51,41 +51,6 @@ class NetConfig:
         if any(r < 1 for r in self.dilation_rates):
             raise ValueError("dilation rates must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "pool_grids": list(self.pool_grids),
-            "dilation_rates": list(self.dilation_rates),
-            "ra_temperature": self.ra.temperature,
-            "ra_column_normalize": self.ra.column_normalize,
-            "seed": self.seed,
-            "two_tower": self.two_tower,
-            "context_channels": self.context_channels,
-            "aspp_channels": self.aspp_channels,
-            "decoder_channels": self.decoder_channels,
-            "head_channels": self.head_channels,
-            "density_bias": self.density_bias,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetConfig":
-        return cls(
-            widths=tuple(doc["widths"]),
-            pool_grids=tuple(doc["pool_grids"]),
-            dilation_rates=tuple(doc["dilation_rates"]),
-            ra=RAConfig(
-                temperature=doc["ra_temperature"],
-                column_normalize=doc["ra_column_normalize"],
-            ),
-            seed=doc["seed"],
-            two_tower=doc["two_tower"],
-            context_channels=doc["context_channels"],
-            aspp_channels=doc["aspp_channels"],
-            decoder_channels=doc["decoder_channels"],
-            head_channels=doc["head_channels"],
-            density_bias=doc["density_bias"],
-        )
-
 
 @dataclass
 class ForwardResult:
@@ -95,7 +60,6 @@ class ForwardResult:
     density: Tensor   # [H, W], non-negative
     priority: Tensor  # [H, W], in [0, 1]
     leaves: dict[str, Tensor]
-    tape: Tape
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +122,18 @@ def init_params(cfg: NetConfig) -> ModelParams:
     return params
 
 
+def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the config implies, in init_params order."""
+    shapes = {}
+    for name, out_ch, in_ch, k, _ in _conv_spec(cfg):
+        shapes[f"{name}.k"] = (out_ch, in_ch, k, k)
+        shapes[f"{name}.b"] = (out_ch,)
+    return shapes
+
+
 def pass1_param_names(cfg: NetConfig) -> list[str]:
     """Parameters used only by the priority path (context, dilated head, decoder)."""
-    names = []
-    for name, *_ in _conv_spec(cfg):
-        if name.startswith(("ctx.", "aspp.", "dec.")):
-            names += [f"{name}.k", f"{name}.b"]
-    return names
+    return [name for name in param_shapes(cfg) if name.startswith(("ctx.", "aspp.", "dec."))]
 
 
 def bind(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[str, Tensor]:
@@ -177,11 +146,17 @@ def bind(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[st
 # ---------------------------------------------------------------------------
 
 
+def padded_shape(h: int, w: int) -> tuple[int, int]:
+    """The smallest input the network accepts (sides >= 16, multiples of 8) that holds h x w."""
+    return max(-(-h // 8) * 8, 16), max(-(-w // 8) * 8, 16)
+
+
 def _check_input_shape(h: int, w: int) -> None:
-    if h < 16 or w < 16 or h % 8 or w % 8:
+    ph, pw = padded_shape(h, w)
+    if (ph, pw) != (h, w):
         raise ShapeError(
             f"input sides must be >= 16 and divisible by 8, got {h}x{w}; "
-            f"reflect-pad to {-(-max(h, 16) // 8) * 8}x{-(-max(w, 16) // 8) * 8} first"
+            f"reflect-pad to {ph}x{pw} first"
         )
 
 
@@ -211,7 +186,7 @@ def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
 
     fh, fw = f4.shape[1], f4.shape[2]
     if any(g > min(fh, fw) for g in cfg.pool_grids):
-        raise ValueError(
+        raise ShapeError(
             f"pooling grids {cfg.pool_grids} exceed the {fh}x{fw} context feature map"
         )
 
@@ -241,11 +216,6 @@ def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     return ad.sigmoid(logits)
 
 
-def feedback_apply(image: Tensor, priority: Tensor, cfg: NetConfig) -> Tensor:
-    """Enhance a [H, W] image with its [H, W] priority map (column relevance)."""
-    return ra_apply(image, priority, cfg.ra)
-
-
 def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     """Enhanced input [1, H, W] -> non-negative density tensor [1, H, W].
 
@@ -271,6 +241,18 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     return ad.upsample_bilinear(density, h, w)
 
 
+def forward(x2d: Tensor, leaves: dict[str, Tensor], cfg: NetConfig) -> tuple[Tensor, Tensor]:
+    """The two-pass pipeline on a [H, W] image tensor: pass 1 -> RA block -> pass 2.
+
+    Returns the [H, W] priority and density tensors.
+    """
+    shape = x2d.shape
+    prio2d = ad.reshape(pass1(ad.reshape(x2d, (1,) + shape), leaves, cfg), shape)
+    enhanced = ra_apply(x2d, prio2d, cfg.ra)
+    density = pass2(ad.reshape(enhanced, (1,) + shape), leaves, cfg)
+    return prio2d, ad.reshape(density, shape)
+
+
 def full_forward(
     image: np.ndarray,
     heads: np.ndarray,
@@ -280,50 +262,25 @@ def full_forward(
     dtype=np.float32,
     requires_grad: bool = True,
 ) -> ForwardResult:
-    """Compose pass 1 -> feedback -> pass 2 -> point-supervision loss."""
+    """Both passes plus the point-supervision loss, on a fresh tape."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ShapeError(f"expected a 2D image, got shape {image.shape}")
     tape = Tape(dtype)
     leaves = bind(tape, params, requires_grad)
-    x2d = tape.constant(image)
-    x = ad.reshape(x2d, (1,) + image.shape)
-
-    prio = pass1(x, leaves, cfg)
-    prio2d = ad.reshape(prio, image.shape)
-    enhanced = feedback_apply(x2d, prio2d, cfg)
-    density = pass2(ad.reshape(enhanced, (1,) + image.shape), leaves, cfg)
-    density2d = ad.reshape(density, image.shape)
+    prio2d, density2d = forward(tape.constant(image), leaves, cfg)
     loss = bayes_loss(density2d, heads, bayes)
-    return ForwardResult(loss=loss, density=density2d, priority=prio2d,
-                         leaves=leaves, tape=tape)
+    return ForwardResult(loss=loss, density=density2d, priority=prio2d, leaves=leaves)
 
 
 def predict(
     img: GrayImage, params: ModelParams, cfg: NetConfig, dtype=np.float32
 ) -> tuple[DensityMap, PriorityMap]:
-    """Inference convenience: run both passes without gradients."""
+    """Inference: both passes without gradients, as float64 value maps."""
     tape = Tape(dtype)
     leaves = bind(tape, params, requires_grad=False)
-    x2d = tape.constant(img.pixels)
-    x = ad.reshape(x2d, (1, img.height, img.width))
-    prio = pass1(x, leaves, cfg)
-    enhanced = feedback_apply(x2d, ad.reshape(prio, (img.height, img.width)), cfg)
-    density = pass2(ad.reshape(enhanced, (1, img.height, img.width)), leaves, cfg)
+    prio2d, density2d = forward(tape.constant(img.pixels), leaves, cfg)
     return (
-        DensityMap(np.asarray(density.data[0], dtype=np.float64)),
-        PriorityMap(np.clip(np.asarray(prio.data[0], dtype=np.float64), 0.0, 1.0)),
+        DensityMap(np.asarray(density2d.data, dtype=np.float64)),
+        PriorityMap(np.clip(np.asarray(prio2d.data, dtype=np.float64), 0.0, 1.0)),
     )
-
-
-def priority_of(img: GrayImage, params: ModelParams, cfg: NetConfig) -> PriorityMap:
-    """Pass-1 convenience: the priority map for a single image."""
-    tape = Tape(np.float32)
-    leaves = bind(tape, params, requires_grad=False)
-    x = tape.constant(img.pixels.reshape(1, img.height, img.width))
-    prio = pass1(x, leaves, cfg)
-    return PriorityMap(np.clip(np.asarray(prio.data[0], dtype=np.float64), 0.0, 1.0))
-
-
-def two_tower_variant(cfg: NetConfig) -> NetConfig:
-    return replace(cfg, two_tower=True)

@@ -20,10 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
+from .core import ConfigDoc
 
 
 @dataclass(frozen=True)
-class RAConfig:
+class RAConfig(ConfigDoc):
     """Knobs for the relevance computation.
 
     temperature divides the similarity matrix before the softmax.  Raw

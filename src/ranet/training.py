@@ -8,14 +8,15 @@ per-epoch telemetry line is `epoch=<i> loss=<f> mae_train=<f>`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .bayes import BayesParams
-from .core import FormatError, GrayImage, PointAnnotations, Scene
-from .network import ModelParams, NetConfig, full_forward, init_params, pass1_param_names
+from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene
+from .network import ModelParams, NetConfig, full_forward, init_params, param_shapes, pass1_param_names
 
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
@@ -34,12 +35,12 @@ def _training_bayes_default() -> BayesParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigDoc):
     lr: float = 1e-3
     batch_size: int = 8
     crop: int = 64
     epochs: int = 30
-    bayes: BayesParams = field(default_factory=_training_bayes_default)
+    bayes: BayesParams = field(default_factory=_training_bayes_default, metadata={"prefix": ""})
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
     beta1: float = 0.9
@@ -56,38 +57,6 @@ class TrainConfig:
             raise ValueError(f"crop must be >= 16 and divisible by 8, got {self.crop}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "crop": self.crop,
-            "epochs": self.epochs,
-            "delta": self.bayes.delta,
-            "d_ratio": self.bayes.d_ratio,
-            "net": self.net.to_dict(),
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "clip_norm": self.clip_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(
-            lr=doc["lr"],
-            batch_size=doc["batch_size"],
-            crop=doc["crop"],
-            epochs=doc["epochs"],
-            bayes=BayesParams(delta=doc["delta"], d_ratio=doc["d_ratio"]),
-            net=NetConfig.from_dict(doc["net"]),
-            seed=doc["seed"],
-            beta1=doc["beta1"],
-            beta2=doc["beta2"],
-            eps=doc["eps"],
-            clip_norm=doc["clip_norm"],
-        )
 
 
 @dataclass
@@ -184,7 +153,7 @@ def train_epoch(
     p1_names = [n for n in pass1_param_names(cfg.net) if n in params]
 
     losses: list[float] = []
-    abs_errors: list[float] = []
+    count_errors: list[float] = []
     batch_norms: list[float] = []
 
     for start in range(0, len(order), cfg.batch_size):
@@ -208,7 +177,7 @@ def train_epoch(
                 )
             ad.backward(res.loss)
             losses.append(loss_val)
-            abs_errors.append(
+            count_errors.append(
                 abs(float(res.density.data.sum(dtype=np.float64)) - len(crop.annotations))
             )
             for name, leaf in res.leaves.items():
@@ -227,7 +196,7 @@ def train_epoch(
     stats = EpochStats(
         epoch=epoch,
         mean_loss=float(np.mean(losses)),
-        mae_train=float(np.mean(abs_errors)),
+        mae_train=float(np.mean(count_errors)),
         pass1_grad_min=float(min(batch_norms)),
         pass1_grad_mean=float(np.mean(batch_norms)),
     )
@@ -312,12 +281,10 @@ class _Reader:
     def u32(self) -> int:
         return int(np.frombuffer(self.take(4), dtype="<u4")[0])
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.blob)
-
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
+    """Read a RACK file; FormatError unless it holds exactly the tensors its
+    config implies, with the implied shapes and finite values."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob, path)
@@ -328,14 +295,26 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     try:
         cfg = TrainConfig.from_dict(json.loads(r.take(r.u32()).decode("utf-8")))
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or not a valid config
         raise FormatError(f"{path}: unreadable config block ({exc})") from None
+    expected = param_shapes(cfg.net)
     params: ModelParams = {}
-    while not r.exhausted:
-        name = r.take(r.u32()).decode("utf-8")
+    while r.pos < len(blob):
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: a tensor name is not UTF-8") from None
+        if name not in expected or name in params:
+            raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
+        want = expected[name]
         rank = r.u32()
-        shape = tuple(r.u32() for _ in range(rank))
-        n_values = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = np.frombuffer(r.take(4 * n_values), dtype="<f4").reshape(shape)
+        if rank != len(want) or tuple(r.u32() for _ in range(rank)) != want:
+            raise FormatError(f"{path}: tensor {name!r} is not shaped {want} as the config implies")
+        data = np.frombuffer(r.take(4 * math.prod(want)), dtype="<f4").reshape(want)
+        if not np.isfinite(data).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
         params[name] = data.copy()
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise FormatError(f"{path}: missing tensors {', '.join(missing)}")
     return params, cfg

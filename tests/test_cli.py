@@ -1,11 +1,15 @@
 """End-to-end CLI behavior through the real subcommands on tiny datasets."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import load_manifest
+from ranet.training import load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch", "4", "--crop", "32",
@@ -127,6 +131,15 @@ class TestInfer:
         assert rc == 2
         assert "--pad" in capsys.readouterr().err
 
+    def test_image_too_small_for_pool_grids_is_data_error(self, checkpoint, tmp_path, capsys):
+        # the checkpoint's context grids go up to 3; a 16x16 image has 2x2 features
+        small = tmp_path / "small.pgm"
+        save_image(GrayImage(np.full((16, 16), 0.5)), small)
+        rc = main(["infer", "--ckpt", str(checkpoint), "--image", str(small),
+                   "--out", str(tmp_path / "o.radm")])
+        assert rc == 2
+        assert "pooling grids" in capsys.readouterr().err
+
     def test_pad_crops_density_back(self, checkpoint, tmp_path, capsys):
         odd = tmp_path / "odd.pgm"
         rng = np.random.default_rng(6)
@@ -207,3 +220,113 @@ class TestRaCommand:
         rc = main(["ra", "--image", str(a), "--priority", str(b), "--out", str(o)])
         assert rc == 2
         assert "8" in capsys.readouterr().err
+
+
+def rewrite_config(blob: bytes, edit) -> bytes:
+    """A RACK blob whose config JSON has been passed through edit(doc)."""
+    n = int.from_bytes(blob[8:12], "little")
+    doc = json.loads(blob[12 : 12 + n])
+    edit(doc)
+    new = json.dumps(doc).encode("utf-8")
+    return blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + n :]
+
+
+class TestMalformedCheckpoint:
+    """Each defect is a one-line data error (exit 2), never a traceback or a count."""
+
+    @pytest.fixture
+    def infer(self, dataset, tmp_path, capsys):
+        def run(ckpt):
+            rc = main(["infer", "--ckpt", str(ckpt), "--image",
+                       str(dataset / "test" / "scene_0000.pgm"), "--out", str(tmp_path / "d.radm")])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            return rc, err[0]
+        return run
+
+    def edited_params(self, checkpoint, tmp_path, edit):
+        params, cfg = load_checkpoint(checkpoint)
+        edit(params)
+        bad = tmp_path / "bad.rack"
+        save_checkpoint(params, cfg, bad)
+        return bad
+
+    def test_missing_tensor(self, checkpoint, tmp_path, infer):
+        bad = self.edited_params(checkpoint, tmp_path, lambda p: p.pop("head.out.b"))
+        rc, err = infer(bad)
+        assert rc == 2 and "head.out.b" in err
+
+    def test_wrong_kernel_shape(self, checkpoint, tmp_path, infer):
+        def widen(p):
+            p["head.feat.k"] = np.zeros((16, 16, 5, 5), dtype=np.float32)
+        rc, err = infer(self.edited_params(checkpoint, tmp_path, widen))
+        assert rc == 2 and "head.feat.k" in err
+
+    def test_non_finite_tensor(self, checkpoint, tmp_path, infer):
+        def poison(p):
+            p["head.out.b"][0] = np.nan
+        rc, err = infer(self.edited_params(checkpoint, tmp_path, poison))
+        assert rc == 2 and "non-finite" in err
+
+    def test_mistyped_config_value(self, checkpoint, tmp_path, infer):
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(),
+                                       lambda doc: doc["net"].update(widths="abc")))
+        rc, err = infer(bad)
+        assert rc == 2 and "widths" in err
+
+    def test_undecodable_tensor_name(self, checkpoint, tmp_path, infer):
+        blob = bytearray(checkpoint.read_bytes())
+        at = blob.index(b"bb.block1.k")
+        blob[at] = 0xFF
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(bytes(blob))
+        rc, err = infer(bad)
+        assert rc == 2 and "UTF-8" in err
+
+    def test_overflowing_weights_are_numeric_error(self, dataset, checkpoint, tmp_path, capsys):
+        # finite weights can still overflow float32 inside the forward pass
+        def blow_up(p):
+            for name in p:
+                if name.endswith(".k"):
+                    p[name] = np.full_like(p[name], 1e30)
+        bad = self.edited_params(checkpoint, tmp_path, blow_up)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["infer", "--ckpt", str(bad), "--image",
+                       str(dataset / "test" / "scene_0000.pgm"), "--out", str(tmp_path / "d.radm")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestMalformedData:
+    """Malformed dataset files are data errors (exit 2), not usage errors."""
+
+    @pytest.fixture
+    def data(self, dataset, tmp_path):
+        copy = tmp_path / "data"
+        shutil.copytree(dataset, copy)
+        return copy
+
+    def eval_rc(self, data, checkpoint, capsys):
+        rc = main(["eval", "--ckpt", str(checkpoint), "--data", str(data), "--split", "test"])
+        err = capsys.readouterr().err
+        assert "usage error" not in err
+        return rc
+
+    def test_annotation_not_utf8(self, data, checkpoint, capsys):
+        (data / "test" / "scene_0001.json").write_bytes(b'{"points": [[1.0, \xff2.0]]}')
+        assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    def test_manifest_not_json(self, data, checkpoint, capsys):
+        (data / "manifest.json").write_text('{"train": [], "test": [')
+        assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    def test_manifest_missing_split(self, data, checkpoint, capsys):
+        (data / "manifest.json").write_text('{"train": []}')
+        assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    def test_manifest_entry_without_paths(self, data, checkpoint, capsys):
+        (data / "manifest.json").write_text('{"train": [], "test": [{"image": 3}]}')
+        assert self.eval_rc(data, checkpoint, capsys) == 2

@@ -161,6 +161,16 @@ class TestAnnotationIO:
         with pytest.raises(FormatError):
             load_annotations(p)
 
+    @pytest.mark.parametrize("blob", [
+        b'{"points": [[1.0, 2.0]]}\xff',
+        b'{"points": [[1' + b"0" * 400 + b', 2]]}',
+    ])
+    def test_undecodable_or_overflowing_is_format_error(self, tmp_path, blob):
+        p = tmp_path / "bad.json"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_annotations(p)
+
 
 class TestRasterizeDensity:
     def test_empty_annotations(self):
@@ -212,5 +222,17 @@ class TestDensityIO:
     def test_shape_payload_mismatch(self, tmp_path):
         p = tmp_path / "p.radm"
         p.write_bytes(b"RADM" + np.array([1, 2, 2], dtype="<u4").tobytes() + bytes(12))
+        with pytest.raises(FormatError):
+            load_density(p)
+
+    @pytest.mark.parametrize("shape,values", [
+        ((1, 2), [0.5, -1.0]),
+        ((1, 2), [0.5, np.nan]),
+        ((0, 3), []),
+    ])
+    def test_invalid_payload_is_format_error(self, tmp_path, shape, values):
+        p = tmp_path / "q.radm"
+        p.write_bytes(b"RADM" + np.array([1, *shape], dtype="<u4").tobytes()
+                      + np.array(values, dtype="<f4").tobytes())
         with pytest.raises(FormatError):
             load_density(p)

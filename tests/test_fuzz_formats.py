@@ -1,0 +1,99 @@
+"""Byte-mutation fuzzing of every on-disk format.
+
+Each mutated file must load to a valid object or raise FormatError; any
+other exception is a loader bug.  The runs are derandomized, so the same
+mutations are tried on every run.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ranet.core import (
+    DensityMap,
+    FormatError,
+    GrayImage,
+    PointAnnotations,
+    load_annotations,
+    load_density,
+    load_image,
+)
+from ranet.datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest
+from ranet.network import NetConfig, init_params, param_shapes
+from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
+
+TINY_NET = NetConfig(widths=(4, 4), pool_grids=(1,), dilation_rates=(1,), context_channels=2,
+                     aspp_channels=2, decoder_channels=2, head_channels=2)
+
+
+def valid_checkpoint(out):
+    params, cfg = out
+    assert isinstance(cfg, TrainConfig)
+    assert {k: v.shape for k, v in params.items()} == param_shapes(cfg.net)
+    assert all(np.isfinite(v).all() for v in params.values())
+
+
+def valid_manifest(doc):
+    for split in ("train", "test"):
+        for entry in doc[split]:
+            assert all(isinstance(entry[key], str) for key in MANIFEST_KEYS)
+
+
+FORMATS = {
+    "pgm": ("train/scene_0000.pgm", load_image, lambda out: isinstance(out, GrayImage)),
+    "radm": ("train/scene_0000.radm", load_density, lambda out: isinstance(out, DensityMap)),
+    "annotations": ("train/scene_0000.json", load_annotations,
+                    lambda out: isinstance(out, PointAnnotations)),
+    "manifest": ("manifest.json", load_manifest, valid_manifest),
+    "rack": ("model.rack", load_checkpoint, valid_checkpoint),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """One valid file of every format, written by the package's own writers."""
+    root = tmp_path_factory.mktemp("corpus")
+    gen_dataset(SceneSpec(width=16, height=16, max_heads=3, seed=5), 1, 1, root)
+    save_checkpoint(init_params(TINY_NET), TrainConfig(net=TINY_NET), root / "model.rack")
+    return root
+
+
+@st.composite
+def mutations(draw, size):
+    """Up to four byte overwrites, sometimes followed by a truncation."""
+    edits = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    cut = draw(st.one_of(st.none(), st.integers(0, size)))
+    return edits, cut
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_format_error(fmt, corpus, tmp_path, data):
+    name, loader, valid = FORMATS[fmt]
+    blob = bytearray((corpus / name).read_bytes())
+    edits, cut = data.draw(mutations(len(blob)))
+    for pos, byte in edits:
+        blob[pos] = byte
+    path = tmp_path / f"mutant.{fmt}"
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        out = loader(path)
+    except FormatError:
+        return
+    assert valid(out) is not False
+
+
+def test_corpus_files_are_valid(corpus):
+    for name, loader, valid in FORMATS.values():
+        assert valid(loader(corpus / name)) is not False
+
+
+def test_manifest_lists_the_corpus(corpus):
+    doc = json.loads((corpus / "manifest.json").read_text())
+    assert len(doc["train"]) == len(doc["test"]) == 1

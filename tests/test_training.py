@@ -1,5 +1,7 @@
 """Cropping, optimizer determinism, checkpoint format, and overfit sanity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,76 @@ class TestCheckpointFormat:
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+# The config block of a default checkpoint as the RACK format has always
+# written it (``perfbench/checkpoint/infer256.rack`` holds these bytes).
+DEFAULT_CONFIG_JSON = (
+    '{"batch_size": 8, "beta1": 0.9, "beta2": 0.999, "clip_norm": 10.0, "crop": 64, '
+    '"d_ratio": 0.1, "delta": 16.0, "epochs": 30, "eps": 1e-08, "lr": 0.001, '
+    '"net": {"aspp_channels": 8, "context_channels": 8, "decoder_channels": 16, '
+    '"density_bias": -6.0, "dilation_rates": [1, 2, 3, 4], "head_channels": 16, '
+    '"pool_grids": [1, 2, 3, 6], "ra_column_normalize": false, "ra_temperature": 1.0, '
+    '"seed": 0, "two_tower": false, "widths": [8, 16, 32, 32]}, "seed": 0}'
+)
+
+
+class TestPinnedConfigFormat:
+    def test_default_config_serializes_to_pinned_json(self):
+        assert json.dumps(TrainConfig().to_dict(), sort_keys=True) == DEFAULT_CONFIG_JSON
+
+    def test_pinned_json_round_trips(self):
+        cfg = TrainConfig.from_dict(json.loads(DEFAULT_CONFIG_JSON))
+        assert cfg == TrainConfig()
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == DEFAULT_CONFIG_JSON
+
+    def test_default_checkpoint_writes_pinned_bytes(self, tmp_path):
+        path = tmp_path / "default.rack"
+        save_checkpoint(init_params(NetConfig()), TrainConfig(), path)
+        blob = path.read_bytes()
+        n = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+        assert blob[12 : 12 + n] == DEFAULT_CONFIG_JSON.encode("utf-8")
+
+    def test_pinned_rack_loads(self, tmp_path):
+        # a RACK file assembled by hand from the pinned config block
+        params = init_params(NetConfig())
+        doc = DEFAULT_CONFIG_JSON.encode("utf-8")
+        blob = b"RACK" + np.array([1, len(doc)], dtype="<u4").tobytes() + doc
+        for name, arr in params.items():
+            blob += np.array([len(name)], dtype="<u4").tobytes()
+            blob += name.encode("utf-8")
+            blob += np.array([arr.ndim, *arr.shape], dtype="<u4").tobytes()
+            blob += arr.astype("<f4").tobytes()
+        path = tmp_path / "pinned.rack"
+        path.write_bytes(blob)
+        loaded, cfg = load_checkpoint(path)
+        assert cfg == TrainConfig()
+        assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "0.001"), ("epochs", 30.0), ("epochs", True), ("delta", float("nan")),
+    ])
+    def test_mistyped_value_is_format_error(self, key, value):
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        doc[key] = value
+        with pytest.raises(FormatError, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_mistyped_nested_value_is_format_error(self):
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        doc["net"]["pool_grids"] = [1, "2"]
+        with pytest.raises(FormatError, match="pool_grids"):
+            TrainConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["d_ratio", "net", "clip_norm"])
+    def test_missing_key_is_format_error(self, key):
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        del doc[key]
+        with pytest.raises(FormatError, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_missing_flattened_key_is_format_error(self):
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        del doc["net"]["ra_temperature"]
+        with pytest.raises(FormatError, match="ra_temperature"):
+            TrainConfig.from_dict(doc)
