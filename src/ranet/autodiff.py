@@ -6,6 +6,12 @@ topological order of the graph, so reverse-mode differentiation replays the
 records once, back to front.  No broadcasting: shapes must match exactly
 except where a primitive says otherwise.
 
+Spatial primitives are matrix products: conv2d multiplies the kernel, seen
+as [F, C*kh*kw], by the im2col matrix of the kh*kw shifted windows of the
+zero-padded input; bilinear resampling and both mean pools apply one matrix
+per axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.  Backward
+drops each record once its closure has run, freeing the arrays it saved.
+
 Two precision modes: float64 tapes for verification (finite-difference
 checks are unreliable at float32) and float32 tapes for training.  All
 primitives are deterministic; identical inputs give bit-identical outputs.
@@ -69,7 +75,9 @@ class Tape:
             raise GraphError("loss is detached: nothing on the tape requires gradient")
         self._backward_done = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        records, self._records = self._records, []
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 
@@ -342,6 +350,31 @@ def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
+    """[C,H,W] -> [C*kh*kw, H*W]; row (c, i, j) is channel c's window under tap (i, j)."""
+    C, H, W = x.shape
+    ph, pw = d * (kh // 2), d * (kw // 2)
+    xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    xp[:, ph : ph + H, pw : pw + W] = x
+    cols = np.empty((C, kh, kw, H, W), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i * d : i * d + H, j * d : j * d + W]
+    return cols.reshape(C * kh * kw, H * W)
+
+
+def _col2im(cols: np.ndarray, shape, kh: int, kw: int, d: int) -> np.ndarray:
+    """Adjoint of _im2col: add each tap's rows back onto the window they came from."""
+    C, H, W = shape
+    ph, pw = d * (kh // 2), d * (kw // 2)
+    cols = cols.reshape(C, kh, kw, H, W)
+    xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i * d : i * d + H, j * d : j * d + W] += cols[:, i, j]
+    return xp[:, ph : ph + H, pw : pw + W]
+
+
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
     """Dilated same-size cross-correlation: [C,H,W] * [F,C,kh,kw] -> [F,H,W].
 
@@ -366,45 +399,57 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
 
     d = int(dilation)
     H, W = x.shape[1], x.shape[2]
-    ph, pw = d * (kh // 2), d * (kw // 2)
-    xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=tape.dtype)
-    xp[:, ph : ph + H, pw : pw + W] = x.data
-
-    out = np.zeros((F, H, W), dtype=tape.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, i * d : i * d + H, j * d : j * d + W]
-            out += np.einsum("fc,chw->fhw", k.data[:, :, i, j], win, optimize=True)
+    kmat = k.data.reshape(F, C * kh * kw)
+    cols = _im2col(x.data, kh, kw, d)
+    out = kmat @ cols
     if bias is not None:
-        out += bias.data[:, None, None]
+        out += bias.data[:, None]
 
     def bwd(g):
+        g = g.reshape(F, H * W)
         if k.requires_grad:
-            kg = np.empty_like(k.data)
-            for i in range(kh):
-                for j in range(kw):
-                    win = xp[:, i * d : i * d + H, j * d : j * d + W]
-                    kg[:, :, i, j] = np.einsum("fhw,chw->fc", g, win, optimize=True)
-            k.accumulate(kg)
+            k.accumulate((g @ cols.T).reshape(k.shape))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i * d : i * d + H, j * d : j * d + W] += np.einsum(
-                        "fc,fhw->chw", k.data[:, :, i, j], g, optimize=True
-                    )
-            x.accumulate(gxp[:, ph : ph + H, pw : pw + W])
+            x.accumulate(_col2im(kmat.T @ g, x.shape, kh, kw, d))
         if bias is not None and bias.requires_grad:
-            bias.accumulate(g.sum(axis=(1, 2)))
+            bias.accumulate(g.sum(axis=1))
 
-    return _result(tape, out, inputs, bwd)
+    return _result(tape, out.reshape(F, H, W), inputs, bwd)
+
+
+def _separable(x: Tensor, my: np.ndarray, mx: np.ndarray) -> Tensor:
+    """y[c] = my @ x[c] @ mx.T for every channel c; backward my.T @ g[c] @ mx."""
+
+    def apply(a, my, mx):
+        C, H, W = a.shape
+        return my @ (a.reshape(C * H, W) @ mx.T).reshape(C, H, mx.shape[0])
+
+    def bwd(g):
+        x.accumulate(apply(g, my.T, mx.T))
+
+    return _result(x.tape, apply(x.data, my, mx), (x,), bwd)
+
+
+def _pool_axis(size: int, grid: int, dtype) -> np.ndarray:
+    """[grid, size] matrix whose row i averages the i-th adaptive bin of an axis."""
+    m = np.zeros((grid, size), dtype=dtype)
+    for i in range(grid):
+        lo, hi = (i * size) // grid, -(-((i + 1) * size) // grid)  # ceil division
+        m[i, lo:hi] = 1.0 / (hi - lo)
+    return m
+
+
+def _pool(x: Tensor, grid_h: int, grid_w: int) -> Tensor:
+    """Mean over the adaptive bins of both axes; shared by avgpool and adaptive_avgpool."""
+    dt = x.tape.dtype
+    return _separable(x, _pool_axis(x.shape[1], grid_h, dt), _pool_axis(x.shape[2], grid_w, dt))
 
 
 def avgpool(x: Tensor, window: int) -> Tensor:
     """Non-overlapping mean pooling; spatial dims shrink by the window factor."""
     if x.data.ndim != 3:
         raise ShapeError(f"avgpool: input must be [C,H,W], got {x.shape}")
-    C, H, W = x.shape
+    _, H, W = x.shape
     w = int(window)
     if w < 1:
         raise ValueError(f"avgpool: window must be positive, got {window}")
@@ -412,58 +457,30 @@ def avgpool(x: Tensor, window: int) -> Tensor:
         raise ValueError(f"avgpool: window {w} exceeds input {H}x{W}")
     if H % w or W % w:
         raise ValueError(f"avgpool: window {w} must divide input sides {H}x{W}")
-    out = x.data.reshape(C, H // w, w, W // w, w).mean(axis=(2, 4), dtype=x.tape.dtype)
-
-    def bwd(g):
-        spread = np.repeat(np.repeat(g, w, axis=1), w, axis=2) / (w * w)
-        x.accumulate(spread)
-
-    return _result(x.tape, out, (x,), bwd)
-
-
-def _adaptive_bins(size: int, grid: int):
-    starts = [(i * size) // grid for i in range(grid)]
-    ends = [-(-((i + 1) * size) // grid) for i in range(grid)]  # ceil division
-    return list(zip(starts, ends))
+    return _pool(x, H // w, W // w)
 
 
 def adaptive_avgpool(x: Tensor, grid: int) -> Tensor:
     """Mean pooling to an explicit grid x grid output; identity when grid = side."""
     if x.data.ndim != 3:
         raise ShapeError(f"adaptive_avgpool: input must be [C,H,W], got {x.shape}")
-    C, H, W = x.shape
+    _, H, W = x.shape
     g_ = int(grid)
     if g_ < 1:
         raise ValueError(f"adaptive_avgpool: grid must be positive, got {grid}")
     if g_ > H or g_ > W:
         raise ValueError(f"adaptive_avgpool: grid {g_} exceeds input {H}x{W}")
-    rbins = _adaptive_bins(H, g_)
-    cbins = _adaptive_bins(W, g_)
-    out = np.empty((C, g_, g_), dtype=x.tape.dtype)
-    for i, (r0, r1) in enumerate(rbins):
-        for j, (c0, c1) in enumerate(cbins):
-            out[:, i, j] = x.data[:, r0:r1, c0:c1].mean(axis=(1, 2), dtype=x.tape.dtype)
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rbins):
-            for j, (c0, c1) in enumerate(cbins):
-                area = (r1 - r0) * (c1 - c0)
-                gx[:, r0:r1, c0:c1] += g[:, i, j][:, None, None] / area
-        x.accumulate(gx)
-
-    return _result(x.tape, out, (x,), bwd)
+    return _pool(x, g_, g_)
 
 
-def _bilinear_axis(in_size: int, out_size: int, dtype):
-    """Per-output source indices (lo, hi) and the hi-side weight, align-corners."""
-    if out_size == 1 or in_size == 1:
-        idx = np.zeros(out_size, dtype=np.intp)
-        return idx, idx.copy(), np.zeros(out_size, dtype=dtype)
-    src = np.arange(out_size, dtype=np.float64) * (in_size - 1) / (out_size - 1)
-    lo = np.clip(np.floor(src).astype(np.intp), 0, in_size - 2)
-    frac = (src - lo).astype(dtype)
-    return lo, lo + 1, frac
+def _bilinear_axis(in_size: int, out_size: int, dtype) -> np.ndarray:
+    """[out_size, in_size] align-corners interpolation matrix of one axis.
+
+    Output i samples the input at src = i (in - 1) / (out - 1); input j gets
+    the hat weight max(0, 1 - |src - j|), so the two neighbours share 1.
+    """
+    src = np.arange(out_size) * (in_size - 1) / max(out_size - 1, 1)
+    return np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(in_size))).astype(dtype)
 
 
 def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -473,31 +490,9 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
         raise ValueError(f"upsample_bilinear: target {out_h}x{out_w} must be >= 1x1")
-    C, H, W = x.shape
+    _, H, W = x.shape
     dt = x.tape.dtype
-    r0, r1, fy = _bilinear_axis(H, out_h, dt)
-    c0, c1, fx = _bilinear_axis(W, out_w, dt)
-    wy0, wy1 = (1.0 - fy)[None, :, None], fy[None, :, None]
-    wx0, wx1 = (1.0 - fx)[None, None, :], fx[None, None, :]
-
-    def gather(rr, cc):
-        return x.data[:, rr[:, None], cc[None, :]]
-
-    out = (
-        wy0 * (wx0 * gather(r0, c0) + wx1 * gather(r0, c1))
-        + wy1 * (wx0 * gather(r1, c0) + wx1 * gather(r1, c1))
-    ).astype(dt)
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        rows = [(r0, wy0), (r1, wy1)]
-        cols = [(c0, wx0), (c1, wx1)]
-        for rr, wy in rows:
-            for cc, wx in cols:
-                np.add.at(gx, (slice(None), rr[:, None], cc[None, :]), g * wy * wx)
-        x.accumulate(gx)
-
-    return _result(x.tape, out, (x,), bwd)
+    return _separable(x, _bilinear_axis(H, out_h, dt), _bilinear_axis(W, out_w, dt))
 
 
 def backward(loss: Tensor) -> None:

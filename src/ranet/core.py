@@ -28,7 +28,8 @@ class FormatError(ValueError):
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    # Copy a writable array, so the caller's own array is neither frozen nor shared.
+    arr = arr.copy(order="C") if arr.flags.writeable else np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
 

@@ -130,3 +130,105 @@ def bf_bayes(density: np.ndarray, heads, delta: float, d: float):
     counts = [float(sum(post[li, pi] * flat[pi] for pi in range(m))) for li in range(n + 1)]
     loss = sum(abs(1.0 - c) for c in counts[:-1]) + abs(0.0 - counts[-1])
     return post, np.array(counts[:-1]), counts[-1], loss
+
+
+# ---------------------------------------------------------------------------
+# Spatial primitives, brute force (per-tap, per-corner and per-bin loops)
+# ---------------------------------------------------------------------------
+#
+# Each returns (out, vjp): the forward value and a function mapping an output
+# cotangent to the cotangents of the inputs.
+
+
+def bf_conv2d(x: np.ndarray, k: np.ndarray, bias=None, dilation: int = 1):
+    """Dilated same-size cross-correlation, one kernel tap at a time.
+
+    vjp(g) -> (grad_x, grad_k, grad_bias).
+    """
+    f, c, kh, kw = k.shape
+    _, h, w = x.shape
+    d = dilation
+    ph, pw = d * (kh // 2), d * (kw // 2)
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    xp[:, ph : ph + h, pw : pw + w] = x
+
+    def window(i, j):
+        return (slice(None), slice(i * d, i * d + h), slice(j * d, j * d + w))
+
+    out = np.zeros((f, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum("fc,chw->fhw", k[:, :, i, j], xp[window(i, j)])
+    if bias is not None:
+        out += bias[:, None, None]
+
+    def vjp(g):
+        gk = np.zeros_like(k, dtype=np.float64)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gk[:, :, i, j] = np.einsum("fhw,chw->fc", g, xp[window(i, j)])
+                gxp[window(i, j)] += np.einsum("fc,fhw->chw", k[:, :, i, j], g)
+        return gxp[:, ph : ph + h, pw : pw + w], gk, g.sum(axis=(1, 2))
+
+    return out, vjp
+
+
+def _bf_corners(in_size: int, out_size: int):
+    """Align-corners source indices (lo, hi) and hi-side weight per output index."""
+    if out_size == 1 or in_size == 1:
+        idx = np.zeros(out_size, dtype=np.intp)
+        return idx, idx.copy(), np.zeros(out_size)
+    src = np.arange(out_size, dtype=np.float64) * (in_size - 1) / (out_size - 1)
+    lo = np.clip(np.floor(src).astype(np.intp), 0, in_size - 2)
+    return lo, lo + 1, src - lo
+
+
+def bf_upsample(x: np.ndarray, out_h: int, out_w: int):
+    """Align-corners bilinear resampling by gathering the four corners.
+
+    vjp(g) scatters each output back onto its four corners.
+    """
+    r0, r1, fy = _bf_corners(x.shape[1], out_h)
+    c0, c1, fx = _bf_corners(x.shape[2], out_w)
+    corners = [
+        (rr, cc, wy[None, :, None] * wx[None, None, :])
+        for rr, wy in ((r0, 1.0 - fy), (r1, fy))
+        for cc, wx in ((c0, 1.0 - fx), (c1, fx))
+    ]
+    out = sum(wt * x[:, rr[:, None], cc[None, :]] for rr, cc, wt in corners)
+
+    def vjp(g):
+        gx = np.zeros_like(x, dtype=np.float64)
+        for rr, cc, wt in corners:
+            np.add.at(gx, (slice(None), rr[:, None], cc[None, :]), g * wt)
+        return gx
+
+    return out, vjp
+
+
+def bf_adaptive_pool(x: np.ndarray, grid_h: int, grid_w: int):
+    """Mean over adaptive bins, one output cell at a time.
+
+    Bin i of an axis of length n covers [floor(i n / g), ceil((i + 1) n / g)).
+    vjp(g) spreads each cell's cotangent evenly over its bin.
+    """
+    def bins(size, grid):
+        return [((i * size) // grid, -(-((i + 1) * size) // grid)) for i in range(grid)]
+
+    cells = [
+        (i, j, r0, r1, c0, c1)
+        for i, (r0, r1) in enumerate(bins(x.shape[1], grid_h))
+        for j, (c0, c1) in enumerate(bins(x.shape[2], grid_w))
+    ]
+    out = np.zeros((x.shape[0], grid_h, grid_w))
+    for i, j, r0, r1, c0, c1 in cells:
+        out[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
+
+    def vjp(g):
+        gx = np.zeros_like(x, dtype=np.float64)
+        for i, j, r0, r1, c0, c1 in cells:
+            gx[:, r0:r1, c0:c1] += g[:, i, j][:, None, None] / ((r1 - r0) * (c1 - c0))
+        return gx
+
+    return out, vjp

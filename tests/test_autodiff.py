@@ -1,16 +1,22 @@
 """Forward values and finite-difference gradient checks for every primitive."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import GraphError, NumericError, ShapeError, Tape
 
-from oracles import check_gradient
+from oracles import bf_adaptive_pool, bf_conv2d, bf_upsample, check_gradient
 
 RNG = np.random.default_rng(20240811)
 N_TRIALS = 20
 PRIMITIVE_TOL = 1e-6
+# float64 primitives against the loop oracles: the same arithmetic summed in
+# another order, so they agree to a few hundred ulps of O(1) values.
+ORACLE_TOL = 1e-12
 
 
 def scalar_through(op, x_arr: np.ndarray, *, weights=None):
@@ -151,13 +157,14 @@ class TestConv2d:
         )
         np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
-    @pytest.mark.parametrize("dilation", [1, 2])
-    def test_gradient_input_kernel_bias(self, dilation):
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 4], ids=lambda d: f"d{d}")
+    @pytest.mark.parametrize("side", [1, 3], ids=lambda s: f"k{s}")
+    def test_gradient_input_kernel_bias(self, side, dilation):
         for _ in range(N_TRIALS // 2):
-            x_arr = RNG.normal(size=(2, 5, 5))
-            k_arr = RNG.normal(size=(3, 2, 3, 3)) * 0.5
+            x_arr = RNG.normal(size=(2, 5, 7))
+            k_arr = RNG.normal(size=(3, 2, side, side)) * 0.5
             b_arr = RNG.normal(size=(3,))
-            w_arr = RNG.normal(size=(3, 5, 5))
+            w_arr = RNG.normal(size=(3, 5, 7))
 
             def run(xv, kv, bv):
                 tape = Tape(np.float64)
@@ -207,6 +214,7 @@ class TestPooling:
 
     def test_avgpool_gradient(self):
         assert_op_gradient(lambda t, x: ad.avgpool(x, 2), (2, 6, 6))
+        assert_op_gradient(lambda t, x: ad.avgpool(x, 3), (2, 6, 9))
 
     def test_adaptive_gradient_nondivisible(self):
         assert_op_gradient(lambda t, x: ad.adaptive_avgpool(x, 3), (2, 7, 5))
@@ -240,6 +248,93 @@ class TestUpsample:
     def test_gradient(self):
         assert_op_gradient(lambda t, x: ad.upsample_bilinear(x, 9, 7), (2, 4, 4))
         assert_op_gradient(lambda t, x: ad.upsample_bilinear(x, 3, 3), (1, 5, 5))
+
+
+def vjp_of(op, *arrays, cotangent):
+    """Forward value of op on float64 leaves, and the leaves' cotangents."""
+    tape = Tape(np.float64)
+    leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    ad.backward(ad.sum_all(ad.mul(out, tape.constant(cotangent))))
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=ORACLE_TOL, atol=ORACLE_TOL)
+
+
+class TestSpatialOracles:
+    """Forward values and VJPs against the per-tap, per-corner and per-bin loops."""
+
+    @pytest.mark.parametrize("shape, kernel, dilation", [
+        ((2, 5, 7), (3, 1, 1), 1),
+        ((2, 5, 7), (3, 3, 3), 1),
+        ((3, 6, 4), (2, 3, 3), 2),
+        ((1, 7, 9), (2, 3, 3), 3),
+        ((2, 8, 5), (4, 3, 3), 4),
+        ((2, 9, 6), (3, 1, 1), 4),
+        ((2, 3, 2), (2, 3, 3), 4),  # dilation >= side: off-centre taps read only padding
+        ((1, 1, 1), (2, 3, 3), 2),
+        ((2, 4, 6), (3, 1, 3), 2),
+    ])
+    def test_conv2d(self, shape, kernel, dilation):
+        f, kh, kw = kernel
+        x = RNG.normal(size=shape)
+        k = RNG.normal(size=(f, shape[0], kh, kw))
+        b = RNG.normal(size=(f,))
+        g = RNG.normal(size=(f,) + shape[1:])
+        out, grads = vjp_of(lambda *t: ad.conv2d(*t, dilation=dilation), x, k, b,
+                            cotangent=g)
+        expect, vjp = bf_conv2d(x, k, b, dilation)
+        assert_close(out, expect)
+        for got, want in zip(grads, vjp(g)):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("shape, target", [
+        ((2, 4, 4), (9, 7)),
+        ((2, 3, 5), (8, 13)),
+        ((1, 1, 1), (5, 3)),   # from size 1
+        ((2, 1, 4), (3, 7)),
+        ((2, 5, 3), (1, 1)),   # to size 1
+        ((1, 6, 5), (4, 1)),
+        ((2, 7, 9), (3, 4)),   # downsampling
+        ((2, 4, 6), (4, 6)),   # same size
+    ])
+    def test_upsample_bilinear(self, shape, target):
+        x = RNG.normal(size=shape)
+        g = RNG.normal(size=(shape[0],) + target)
+        out, (gx,) = vjp_of(lambda t: ad.upsample_bilinear(t, *target), x, cotangent=g)
+        expect, vjp = bf_upsample(x, *target)
+        assert_close(out, expect)
+        assert_close(gx, vjp(g))
+
+    @pytest.mark.parametrize("shape, grid", [
+        ((2, 7, 5), 3),
+        ((1, 13, 6), 4),
+        ((2, 9, 7), 6),
+        ((3, 5, 5), 5),
+        ((2, 6, 4), 1),
+        ((1, 8, 8), 3),
+    ])
+    def test_adaptive_avgpool(self, shape, grid):
+        x = RNG.normal(size=shape)
+        g = RNG.normal(size=(shape[0], grid, grid))
+        out, (gx,) = vjp_of(lambda t: ad.adaptive_avgpool(t, grid), x, cotangent=g)
+        expect, vjp = bf_adaptive_pool(x, grid, grid)
+        assert_close(out, expect)
+        assert_close(gx, vjp(g))
+
+    @pytest.mark.parametrize("shape, window", [
+        ((2, 6, 6), 2), ((1, 6, 9), 3), ((2, 8, 4), 4), ((1, 4, 6), 1),
+    ])
+    def test_avgpool(self, shape, window):
+        x = RNG.normal(size=shape)
+        grid_h, grid_w = shape[1] // window, shape[2] // window
+        g = RNG.normal(size=(shape[0], grid_h, grid_w))
+        out, (gx,) = vjp_of(lambda t: ad.avgpool(t, window), x, cotangent=g)
+        expect, vjp = bf_adaptive_pool(x, grid_h, grid_w)
+        assert_close(out, expect)
+        assert_close(gx, vjp(g))
 
 
 class TestConcatSlice:
@@ -382,6 +477,34 @@ class TestBackward:
         ad.backward(loss)
         with pytest.raises(GraphError):
             ad.backward(loss)
+
+    def test_backward_frees_saved_arrays(self, monkeypatch):
+        # The conv column matrix lives only in its backward closure; with the
+        # cycle collector off, it must die as soon as that closure has run.
+        saved = []
+
+        def spy(*args):
+            cols = im2col(*args)
+            saved.append(weakref.ref(cols))
+            return cols
+
+        im2col = ad._im2col
+        monkeypatch.setattr(ad, "_im2col", spy)
+        gc.disable()
+        try:
+            tape = Tape(np.float64)
+            x = tape.tensor(RNG.normal(size=(2, 5, 6)), requires_grad=True)
+            k = tape.tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
+            loss = ad.sum_all(ad.relu(ad.conv2d(x, k)))
+            assert saved[0]() is not None
+            ad.backward(loss)
+            assert saved[0]() is None
+            assert x.grad is not None and k.grad is not None
+            assert np.any(k.grad != 0.0)
+            with pytest.raises(GraphError):
+                ad.backward(loss)
+        finally:
+            gc.enable()
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape(np.float64)

@@ -1,5 +1,7 @@
 """Value types and file-format round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ from ranet.core import (
 
 
 class TestTypes:
+    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap])
+    def test_caller_array_stays_writable_and_unaliased(self, cls):
+        arr = np.zeros((2, 2))
+        obj = cls(arr)
+        stored = getattr(obj, dataclasses.fields(obj)[0].name)
+        assert arr.flags.writeable
+        assert not stored.flags.writeable
+        arr[0, 0] = 0.5
+        assert stored[0, 0] == 0.0
+
     def test_image_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GrayImage(np.array([[0.0, 1.5]]))
