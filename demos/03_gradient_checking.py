@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Verify tape gradients against central finite differences.
 
-Every primitive on the tape carries a hand-derived backward rule; this
-script spot-checks a few of them and then the whole two-pass network, the
-same way the test suite does it, with the arithmetic in float64.
+Every primitive on the tape carries one hand-derived backward rule per
+operand (its vector-Jacobian product); this script spot-checks a few of
+them and then the whole two-pass network, the same way the test suite does
+it, with the arithmetic in float64.
 """
 
 import numpy as np

@@ -1,16 +1,21 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
-A Tape owns every tensor created on it and records one backward closure per
-primitive application, in execution order.  Execution order is already a
-topological order of the graph, so reverse-mode differentiation replays the
-records once, back to front.  No broadcasting: shapes must match exactly
-except where a primitive says otherwise.
+A Tape owns every tensor created on it and records one (output, edges) pair
+per primitive application, in execution order.  An edge is (operand, vjp):
+vjp maps the output's gradient to that operand's vector-Jacobian product.
+Besides its checks and forward arithmetic, a primitive only states one vjp
+per operand.  The tape, not the primitive, checks that all operands share
+it, drops the edges of operands that do not require gradient, and adds
+each vjp into its operand's .grad.  Execution order is already a
+topological order of the graph, so reverse-mode differentiation replays
+the records once, back to front.  No broadcasting: shapes must match
+exactly except where a primitive says otherwise.
 
 Spatial primitives are matrix products: conv2d multiplies the kernel, seen
 as [F, C*kh*kw], by the im2col matrix of the kh*kw shifted windows of the
 zero-padded input; bilinear resampling and both mean pools apply one matrix
 per axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.  Backward
-drops each record once its closure has run, freeing the arrays it saved.
+drops each record once its edges have run, freeing the arrays they saved.
 
 Two precision modes: float64 tapes for verification (finite-difference
 checks are unreliable at float32) and float32 tapes for training.  All
@@ -50,8 +55,7 @@ class Tape:
         if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"tape dtype must be float32 or float64, got {dt}")
         self.dtype = dt
-        self._records: list[tuple[Tensor, object]] = []
-        self._next_id = 0
+        self._records: list[tuple[Tensor, tuple]] = []
         self._backward_done = False
 
     def tensor(self, data, requires_grad: bool = False) -> "Tensor":
@@ -59,9 +63,6 @@ class Tape:
 
     def constant(self, data) -> "Tensor":
         return self.tensor(data, requires_grad=False)
-
-    def _record(self, out: "Tensor", backward_fn) -> None:
-        self._records.append((out, backward_fn))
 
     def backward(self, loss: "Tensor") -> None:
         """Populate .grad of every requires-grad tensor with d(loss)/d(tensor)."""
@@ -77,23 +78,22 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         records, self._records = self._records, []
         while records:
-            out, fn = records.pop()
+            out, edges = records.pop()
             if out.grad is not None:
-                fn(out.grad)
+                for t, vjp in edges:
+                    t.accumulate(vjp(out.grad))
 
 
 class Tensor:
     """Dense array plus its accumulated gradient, bound to one tape."""
 
-    __slots__ = ("tape", "data", "grad", "requires_grad", "node_id")
+    __slots__ = ("tape", "data", "grad", "requires_grad")
 
     def __init__(self, tape: Tape, data: np.ndarray, requires_grad: bool):
         self.tape = tape
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = tape._next_id
-        tape._next_id += 1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,9 +104,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self) -> None:
-        self.tape.backward(self)
-
 
 def _same_tape(*tensors: Tensor) -> Tape:
     tape = tensors[0].tape
@@ -116,11 +113,13 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def _result(tape: Tape, data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(tape, _as_array(data, tape.dtype),
-                 any(t.requires_grad for t in inputs))
-    if out.requires_grad:
-        tape._record(out, backward_fn)
+def _result(data: np.ndarray, *edges) -> Tensor:
+    """Wrap a primitive's output; record the (operand, vjp) edges that need gradient."""
+    tape = _same_tape(*(t for t, _ in edges))
+    edges = tuple(e for e in edges if e[0].requires_grad)
+    out = Tensor(tape, _as_array(data, tape.dtype), bool(edges))
+    if edges:
+        tape._records.append((out, edges))
     return out
 
 
@@ -135,55 +134,31 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     _require_finite(a.data, "add")
     _require_finite(b.data, "add")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _result(tape, a.data + b.data, (a, b), bwd)
+    return _result(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     _require_finite(a.data, "mul")
     _require_finite(b.data, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return _result(tape, a.data * b.data, (a, b), bwd)
+    return _result(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     _require_finite(x.data, "scale")
     c = x.tape.dtype.type(c)
-
-    def bwd(g):
-        x.accumulate(g * c)
-
-    return _result(x.tape, x.data * c, (x,), bwd)
+    return _result(x.data * c, (x, lambda g: g * c))
 
 
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
     mask = x.data > 0  # subgradient at exactly 0 is 0
-
-    def bwd(g):
-        x.accumulate(g * mask)
-
-    return _result(x.tape, np.where(mask, x.data, 0), (x,), bwd)
+    return _result(np.where(mask, x.data, 0), (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -192,11 +167,7 @@ def sigmoid(x: Tensor) -> Tensor:
     pos = x.data >= 0
     z = np.exp(np.where(pos, -x.data, x.data))
     y = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.tape.dtype)
-
-    def bwd(g):
-        x.accumulate(g * y * (1.0 - y))
-
-    return _result(x.tape, y, (x,), bwd)
+    return _result(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -205,22 +176,14 @@ def softplus(x: Tensor) -> Tensor:
     y = np.logaddexp(0.0, x.data).astype(x.tape.dtype)
     sig = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
     sig = np.where(x.data >= 0, sig, 1.0 - sig)
-
-    def bwd(g):
-        x.accumulate(g * sig)
-
-    return _result(x.tape, y, (x,), bwd)
+    return _result(y, (x, lambda g: g * sig))
 
 
 def abs_val(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at the kink."""
     _require_finite(x.data, "abs_val")
     sign = np.sign(x.data)
-
-    def bwd(g):
-        x.accumulate(g * sign)
-
-    return _result(x.tape, np.abs(x.data), (x,), bwd)
+    return _result(np.abs(x.data), (x, lambda g: g * sign))
 
 
 # ---------------------------------------------------------------------------
@@ -232,34 +195,22 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-
-    def bwd(g):
-        x.accumulate(g.reshape(x.data.shape))
-
-    return _result(x.tape, x.data.reshape(shape), (x,), bwd)
+    return _result(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose: expected a 2D tensor, got shape {x.shape}")
-
-    def bwd(g):
-        x.accumulate(g.T)
-
-    return _result(x.tape, x.data.T, (x,), bwd)
+    return _result(x.data.T, (x, lambda g: g.T))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def bwd(g):
-        x.accumulate(np.full_like(x.data, g))
-
-    return _result(x.tape, x.data.sum(dtype=x.tape.dtype), (x,), bwd)
+    return _result(x.data.sum(dtype=x.tape.dtype), (x, lambda g: np.full_like(x.data, g)))
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
     if not xs:
         raise ShapeError("concat_channels: need at least one tensor")
-    tape = _same_tape(*xs)
     spatial = xs[0].shape[1:]
     for t in xs:
         if t.data.ndim != 3:
@@ -270,13 +221,9 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
             )
     sizes = [t.shape[0] for t in xs]
     offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate(g[lo:hi])
-
-    return _result(tape, np.concatenate([t.data for t in xs], axis=0), tuple(xs), bwd)
+    bounds = zip(xs, offsets[:-1], offsets[1:])
+    return _result(np.concatenate([t.data for t in xs], axis=0),
+                   *((t, lambda g, lo=lo, hi=hi: g[lo:hi]) for t, lo, hi in bounds))
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
@@ -285,12 +232,12 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_channels: [{start}:{stop}] out of range for C={x.shape[0]}")
 
-    def bwd(g):
+    def vjp(g):
         buf = np.zeros_like(x.data)
         buf[start:stop] = g
-        x.accumulate(buf)
+        return buf
 
-    return _result(x.tape, x.data[start:stop].copy(), (x,), bwd)
+    return _result(x.data[start:stop].copy(), (x, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +246,11 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expected 2D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _result(tape, a.data @ b.data, (a, b), bwd)
+    return _result(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def softmax_rows(s: Tensor) -> Tensor:
@@ -323,11 +262,11 @@ def softmax_rows(s: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = (e / e.sum(axis=1, keepdims=True)).astype(s.tape.dtype)
 
-    def bwd(g):
+    def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        s.accumulate(y * (g - dot))
+        return y * (g - dot)
 
-    return _result(s.tape, y, (s,), bwd)
+    return _result(y, (s, vjp))
 
 
 def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -337,12 +276,12 @@ def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
     norms = np.sqrt((x.data * x.data).sum(axis=0, keepdims=True) + eps * eps)
     y = x.data / norms
 
-    def bwd(g):
+    def vjp(g):
         # d(v/s)/dv = I/s - v v^T / s^3, applied column by column
         dot = (g * y).sum(axis=0, keepdims=True)
-        x.accumulate((g - y * dot) / norms)
+        return (g - y * dot) / norms
 
-    return _result(x.tape, y, (x,), bwd)
+    return _result(y, (x, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +320,6 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     Zero padding is sized so output spatial dims equal input dims; kernel
     sides must be odd for that to be well defined.
     """
-    inputs = (x, k) if bias is None else (x, k, bias)
-    tape = _same_tape(*inputs)
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be [C,H,W], got {x.shape}")
     if k.data.ndim != 4:
@@ -404,17 +341,13 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     out = kmat @ cols
     if bias is not None:
         out += bias.data[:, None]
-
-    def bwd(g):
-        g = g.reshape(F, H * W)
-        if k.requires_grad:
-            k.accumulate((g @ cols.T).reshape(k.shape))
-        if x.requires_grad:
-            x.accumulate(_col2im(kmat.T @ g, x.shape, kh, kw, d))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate(g.sum(axis=1))
-
-    return _result(tape, out.reshape(F, H, W), inputs, bwd)
+    edges = [
+        (k, lambda g: (g.reshape(F, H * W) @ cols.T).reshape(k.shape)),
+        (x, lambda g: _col2im(kmat.T @ g.reshape(F, H * W), x.shape, kh, kw, d)),
+    ]
+    if bias is not None:
+        edges.append((bias, lambda g: g.reshape(F, H * W).sum(axis=1)))
+    return _result(out.reshape(F, H, W), *edges)
 
 
 def _separable(x: Tensor, my: np.ndarray, mx: np.ndarray) -> Tensor:
@@ -424,10 +357,7 @@ def _separable(x: Tensor, my: np.ndarray, mx: np.ndarray) -> Tensor:
         C, H, W = a.shape
         return my @ (a.reshape(C * H, W) @ mx.T).reshape(C, H, mx.shape[0])
 
-    def bwd(g):
-        x.accumulate(apply(g, my.T, mx.T))
-
-    return _result(x.tape, apply(x.data, my, mx), (x,), bwd)
+    return _result(apply(x.data, my, mx), (x, lambda g: apply(g, my.T, mx.T)))
 
 
 def _pool_axis(size: int, grid: int, dtype) -> np.ndarray:

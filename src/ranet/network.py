@@ -164,6 +164,13 @@ def _conv(x: Tensor, p: dict[str, Tensor], name: str, dilation: int = 1) -> Tens
     return ad.conv2d(x, p[f"{name}.k"], bias=p[f"{name}.b"], dilation=dilation)
 
 
+def _fuse(p: dict[str, Tensor], name: str, skip: Tensor, *deep: Tensor) -> Tensor:
+    """Upsample each deep map to the skip's size, concatenate them and the skip, 1x1 conv + ReLU."""
+    h, w = skip.shape[1], skip.shape[2]
+    ups = [ad.upsample_bilinear(t, h, w) for t in deep]
+    return ad.relu(_conv(ad.concat_channels(ups + [skip]), p, name))
+
+
 def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig, prefix: str):
     """Features at strides 2, 4, 8, 8 (pooling after the first three blocks)."""
     n = len(cfg.widths)
@@ -204,14 +211,8 @@ def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     aspp = ad.relu(_conv(ad.concat_channels(rate_outs), p, "aspp.fuse"))
 
     # decode: everything meets the stride-4 skip, then stride 2, then full size
-    h4, w4 = f3.shape[1], f3.shape[2]
-    d1 = ad.concat_channels(
-        [ad.upsample_bilinear(ctx, h4, w4), ad.upsample_bilinear(aspp, h4, w4), f3]
-    )
-    d1 = ad.relu(_conv(d1, p, "dec.fuse1"))
-    h2, w2 = f2.shape[1], f2.shape[2]
-    d2 = ad.concat_channels([ad.upsample_bilinear(d1, h2, w2), f2])
-    d2 = ad.relu(_conv(d2, p, "dec.fuse2"))
+    d1 = _fuse(p, "dec.fuse1", f3, ctx, aspp)
+    d2 = _fuse(p, "dec.fuse2", f2, d1)
     logits = ad.upsample_bilinear(_conv(d2, p, "dec.out"), h, w)
     return ad.sigmoid(logits)
 
@@ -229,10 +230,8 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     feats = _backbone(x, p, cfg, prefix)
     f2, f3, f5 = feats[0], feats[1], feats[-1]
 
-    u1 = ad.upsample_bilinear(f5, f3.shape[1], f3.shape[2])
-    d1 = ad.relu(_conv(ad.concat_channels([u1, f3]), p, "head.fuse1"))
-    u2 = ad.upsample_bilinear(d1, f2.shape[1], f2.shape[2])
-    d2 = ad.relu(_conv(ad.concat_channels([u2, f2]), p, "head.fuse2"))
+    d1 = _fuse(p, "head.fuse1", f3, f5)
+    d2 = _fuse(p, "head.fuse2", f2, d1)
 
     feat = ad.relu(_conv(d2, p, "head.feat"))
     att = ad.sigmoid(_conv(d2, p, "head.att"))

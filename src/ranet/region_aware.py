@@ -73,13 +73,13 @@ class RelevanceMatrix:
         return self.weights.shape[0]
 
 
-def similarity(q: Tensor, a: Tensor, cfg: RAConfig | None = None) -> Tensor:
+def similarity(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
     """Inner products of every image column with every priority column: Q^T A."""
     if q.data.ndim != 2 or a.data.ndim != 2:
         raise ShapeError(f"similarity: expected 2D operands, got {q.shape} and {a.shape}")
     if q.shape != a.shape:
         raise ShapeError(f"similarity: shapes {q.shape} and {a.shape} differ")
-    if cfg is not None and cfg.column_normalize:
+    if cfg.column_normalize:
         q = ad.normalize_columns(q)
         a = ad.normalize_columns(a)
     return ad.matmul(ad.transpose(q), a)

@@ -479,8 +479,8 @@ class TestBackward:
             ad.backward(loss)
 
     def test_backward_frees_saved_arrays(self, monkeypatch):
-        # The conv column matrix lives only in its backward closure; with the
-        # cycle collector off, it must die as soon as that closure has run.
+        # The conv column matrix lives only in the kernel's vjp; with the
+        # cycle collector off, it must die as soon as that record has run.
         saved = []
 
         def spy(*args):
@@ -517,10 +517,33 @@ class TestBackward:
         with pytest.raises(GraphError):
             ad.backward(ad.sum_all(tape.tensor([1.0])))
 
-    def test_cross_tape_rejected(self):
-        t1, t2 = Tape(), Tape()
+    @pytest.mark.parametrize("op", [
+        lambda t1, t2: ad.add(t1.tensor([1.0]), t2.tensor([1.0])),
+        lambda t1, t2: ad.mul(t1.tensor([1.0]), t2.tensor([1.0])),
+        lambda t1, t2: ad.matmul(t1.tensor(np.ones((2, 3))), t2.tensor(np.ones((3, 2)))),
+        lambda t1, t2: ad.concat_channels(
+            [t1.tensor(np.ones((1, 2, 2))), t2.tensor(np.ones((2, 2, 2)))]),
+        lambda t1, t2: ad.conv2d(t1.tensor(np.ones((1, 4, 4))), t2.tensor(np.ones((2, 1, 3, 3)))),
+        lambda t1, t2: ad.conv2d(t1.tensor(np.ones((1, 4, 4))), t1.tensor(np.ones((2, 1, 3, 3))),
+                                 bias=t2.tensor(np.zeros(2))),
+    ], ids=["add", "mul", "matmul", "concat_channels", "conv2d-kernel", "conv2d-bias"])
+    def test_cross_tape_rejected(self, op):
         with pytest.raises(GraphError):
-            ad.add(t1.tensor([1.0]), t2.tensor([1.0]))
+            op(Tape(), Tape())
+
+    def test_operand_without_gradient_gets_no_edge(self, monkeypatch):
+        # The input of conv2d is a constant, so its vjp (the col2im) must never run.
+        def refuse(*args):
+            raise AssertionError("col2im ran for an operand that needs no gradient")
+
+        monkeypatch.setattr(ad, "_col2im", refuse)
+        tape = Tape(np.float64)
+        x = tape.constant(RNG.normal(size=(2, 5, 6)))
+        k = tape.tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        constant = tape.constant(RNG.normal(size=(3, 5, 6)))
+        ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), constant)))
+        assert x.grad is None and constant.grad is None
+        assert k.grad is not None and np.any(k.grad != 0.0)
 
     def test_composed_graph_matches_finite_differences(self):
         for _ in range(N_TRIALS):
