@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""The Bayesian point-supervision loss, from likelihoods to gradients.
+"""The Bayesian point-supervision loss, from posteriors to gradients.
 
 Instead of regressing a smoothed density target, each pixel receives a
 posterior over "belongs to head n" / "is background", and the loss asks
 the posterior-weighted density mass to hit 1 per head and 0 for the
-background band.
+background band.  Posteriors come straight from pixel-to-head distances,
+normalized in log space so that far pixels cannot underflow.
 """
 
 import numpy as np
@@ -14,11 +15,8 @@ from ranet import autodiff as ad
 from ranet.bayes import (
     bayes_loss,
     expected_counts,
-    likelihood_bg,
-    likelihood_fg,
     margin_pixels,
     pixel_grid,
-    posteriors,
     posteriors_from_distances,
 )
 
@@ -27,13 +25,11 @@ np.set_printoptions(precision=5, suppress=True)
 # Tiny worked example: 2x2 grid, one head at the origin, delta = d = 1.
 pixels = pixel_grid(2, 2)
 head = np.array([[0.0, 0.0]])
-fg = likelihood_fg(pixels, head, delta=1.0)
-bg = likelihood_bg(pixels, head, delta=1.0, d=1.0)
-field = posteriors(fg, bg)
-print("pixel order (x, y):", [tuple(p) for p in pixels])
-print("head likelihoods:  ", fg[0])
-print("bg likelihoods:    ", bg)
+field = posteriors_from_distances(pixels, head, delta=1.0, d=1.0)
+print("pixel order (x, y):", [tuple(p) for p in pixels.tolist()])
+print("distance to head:  ", np.hypot(*(pixels - head).T))
 print("head posterior row:", field.head_rows[0])
+print("bg posterior row:  ", field.background_row)
 print("column sums:       ", field.probs.sum(axis=0))
 
 density = np.zeros((2, 2))

@@ -11,15 +11,14 @@ import tempfile
 
 import numpy as np
 
-from ranet import SceneSpec, gen_dataset, gen_scene, save_image
-from ranet.datagen import head_mask, load_split
+from ranet import SceneSpec, gen_dataset, gen_scene, load_density, save_image
+from ranet.datagen import head_mask, load_manifest, load_split
 
 spec = SceneSpec(seed=42)
 print("scene spec:", spec)
 
 scene = gen_scene(spec, 0)
-print(f"scene 0: {len(scene.annotations)} heads, "
-      f"reference density mass {scene.density.count:.6f}")
+print(f"scene 0: {len(scene.annotations)} heads")
 print("annotations (x, y):")
 for x, y in scene.annotations.points:
     print(f"  ({x:5.1f}, {y:5.1f})")
@@ -52,9 +51,13 @@ for p in sorted(out.rglob("*")):
     if p.is_file():
         print("  ", p.relative_to(out))
 
-train = load_split(manifest, "train", with_density=True)
+train = load_split(manifest, "train")
 print("loaded", len(train), "train scenes; counts:",
       [len(s.annotations) for s in train])
+# Reference densities are written next to each scene, one unit of mass per head.
+entries = load_manifest(manifest)["train"]
+print("reference density masses:",
+      [round(load_density(out / e["density"]).count, 4) for e in entries])
 
 save_image(scene.image, out / "preview.pgm")
 print("preview image written to", out / "preview.pgm")

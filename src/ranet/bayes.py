@@ -22,9 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tensor
-from .core import ConfigDoc
-
-_PREFACTOR = 1.0 / np.sqrt(2.0 * np.pi)
+from .core import ConfigDoc, _readonly
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,7 @@ class PosteriorField:
         p = np.asarray(self.probs)
         if p.ndim != 2 or p.shape[0] < 1:
             raise ValueError(f"posterior field must be (N+1) x M, got {p.shape}")
-        pc = np.ascontiguousarray(p)
-        pc.flags.writeable = False
-        object.__setattr__(self, "probs", pc)
-
-    @property
-    def n_heads(self) -> int:
-        return self.probs.shape[0] - 1
+        object.__setattr__(self, "probs", _readonly(p))
 
     @property
     def n_pixels(self) -> int:
@@ -85,60 +77,6 @@ def _sq_distances(pixels: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
-def likelihood_fg(pixels: np.ndarray, heads: np.ndarray, delta: float) -> np.ndarray:
-    """Gaussian head likelihoods, shape (N, M): entry (n, m) for pixel m, head n."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    heads = np.asarray(heads, dtype=np.float64).reshape(-1, 2)
-    if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] == 0:
-        raise ValueError(f"pixels must be a non-empty (M, 2) array, got {pixels.shape}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    sq = _sq_distances(pixels, heads)
-    return (_PREFACTOR / delta) * np.exp(-sq / (2.0 * delta * delta))
-
-
-def likelihood_bg(
-    pixels: np.ndarray, heads: np.ndarray, delta: float, d: float
-) -> np.ndarray:
-    """Background likelihood per pixel, shape (M,), from the nearest-head distance."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    heads = np.asarray(heads, dtype=np.float64).reshape(-1, 2)
-    if heads.shape[0] == 0:
-        raise ValueError("likelihood_bg needs at least one head; empty scenes fix the "
-                         "background posterior at 1 instead")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if d <= 0:
-        raise ValueError(f"background margin d must be positive, got {d}")
-    nearest = np.sqrt(_sq_distances(pixels, heads).min(axis=0))
-    return (_PREFACTOR / delta) * np.exp(-((d - nearest) ** 2) / (2.0 * delta * delta))
-
-
-def _posteriors_from_log(log_fg: np.ndarray, log_bg: np.ndarray) -> np.ndarray:
-    logs = np.vstack([log_fg, log_bg[None, :]])
-    shifted = logs - logs.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def posteriors(fg: np.ndarray, bg: np.ndarray) -> PosteriorField:
-    """Normalize likelihoods into per-pixel label posteriors (uniform prior)."""
-    fg = np.asarray(fg, dtype=np.float64)
-    bg = np.asarray(bg, dtype=np.float64)
-    if fg.ndim != 2 or bg.ndim != 1 or fg.shape[1] != bg.shape[0]:
-        raise ShapeError(f"posteriors: fg {fg.shape} and bg {bg.shape} do not align")
-    if (fg < 0).any() or (bg < 0).any():
-        raise ValueError("likelihoods must be non-negative")
-    dead = (fg.sum(axis=0) + bg) <= 0.0
-    if dead.any():
-        raise NumericError(
-            f"posteriors: {int(dead.sum())} pixel(s) have every likelihood equal to "
-            "zero; compute from exponents via posteriors_from_distances instead"
-        )
-    with np.errstate(divide="ignore"):
-        return PosteriorField(_posteriors_from_log(np.log(fg), np.log(bg)))
-
-
 def posteriors_from_distances(
     pixels: np.ndarray, heads: np.ndarray, delta: float, d: float
 ) -> PosteriorField:
@@ -152,7 +90,11 @@ def posteriors_from_distances(
     log_fg = -sq * inv
     nearest = np.sqrt(sq.min(axis=0))
     log_bg = -((d - nearest) ** 2) * inv
-    return PosteriorField(_posteriors_from_log(log_fg, log_bg))
+    logs = np.vstack([log_fg, log_bg[None, :]])
+    e = np.exp(logs - logs.max(axis=0, keepdims=True))
+    probs = e / e.sum(axis=0, keepdims=True)
+    probs.flags.writeable = False  # fresh and frozen, so the field wraps it uncopied
+    return PosteriorField(probs)
 
 
 def expected_counts(post: PosteriorField, density: np.ndarray) -> tuple[np.ndarray, float]:

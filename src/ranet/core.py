@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -34,6 +34,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _grid(values, what: str, lo: float, hi: float) -> np.ndarray:
+    """``values`` as a read-only float64 grid: 2D, non-empty, finite, within [lo, hi]."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError(f"{what} must be a non-empty 2D grid, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} contains non-finite values")
+    if v.min() < lo or v.max() > hi:
+        raise ValueError(
+            f"{what} values must lie in [{lo:g}, {hi:g}], "
+            f"got range [{v.min():.6g}, {v.max():.6g}]"
+        )
+    return _readonly(v)
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Single-channel raster with pixel values in [0, 1]."""
@@ -41,17 +56,7 @@ class GrayImage:
     pixels: np.ndarray  # 2D float64, row-major
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError(f"image must be a non-empty 2D grid, got shape {px.shape}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("image contains non-finite pixels")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError(
-                f"pixel values must lie in [0, 1], got range "
-                f"[{px.min():.6g}, {px.max():.6g}]"
-            )
-        object.__setattr__(self, "pixels", _readonly(px))
+        object.__setattr__(self, "pixels", _grid(self.pixels, "image", 0.0, 1.0))
 
     @property
     def height(self) -> int:
@@ -96,20 +101,13 @@ class PointAnnotations:
 
 
 @dataclass(frozen=True)
-class PriorityMap:
-    """Image-sized [0, 1] field marking candidate crowd regions."""
+class _ValueGrid:
+    """A 2D float64 ``values`` field within the subclass's ``_range``: (name, lo, hi)."""
 
     values: np.ndarray  # 2D float64
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"priority map must be a non-empty 2D grid, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("priority map contains non-finite values")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("priority values must lie in [0, 1]")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _grid(self.values, *self._range))
 
     @property
     def height(self) -> int:
@@ -121,32 +119,21 @@ class PriorityMap:
 
 
 @dataclass(frozen=True)
-class DensityMap:
+class PriorityMap(_ValueGrid):
+    """Image-sized [0, 1] field marking candidate crowd regions."""
+
+    _range = ("priority map", 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class DensityMap(_ValueGrid):
     """Non-negative per-pixel density; the grid sum is the predicted count.
 
     Values live as float64 in memory; the RADM file format quantizes to
     float32, and loading gives those float32 values back exactly.
     """
 
-    values: np.ndarray  # 2D float64
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"density map must be a non-empty 2D grid, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("density map contains non-finite values")
-        if v.min() < 0.0:
-            raise ValueError(f"density values must be >= 0, min is {v.min():.6g}")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+    _range = ("density map", 0.0, math.inf)
 
     @property
     def count(self) -> float:
@@ -156,20 +143,14 @@ class DensityMap:
 
 @dataclass(frozen=True)
 class Scene:
-    """One sample: an image, its head annotations, optional reference density."""
+    """One sample: an image and its head annotations."""
 
     image: GrayImage
     annotations: PointAnnotations
-    density: DensityMap | None = field(default=None)
 
     def __post_init__(self):
         if not self.annotations.inside(self.image.height, self.image.width):
             raise ValueError("annotation coordinates fall outside the image bounds")
-        if self.density is not None and (
-            self.density.height != self.image.height
-            or self.density.width != self.image.width
-        ):
-            raise ValueError("reference density shape differs from the image shape")
 
 
 # ---------------------------------------------------------------------------

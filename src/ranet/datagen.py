@@ -22,7 +22,6 @@ from .core import (
     PointAnnotations,
     Scene,
     load_annotations,
-    load_density,
     load_image,
     load_json,
     rasterize_density,
@@ -115,8 +114,7 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
     canvas = np.clip(canvas, 0.0, 1.0)
 
     ann = PointAnnotations(np.array(pts, dtype=np.float64).reshape(len(pts), 2))
-    density = rasterize_density(ann, h, w, DENSITY_SIGMA)
-    return Scene(GrayImage(canvas), ann, density)
+    return Scene(GrayImage(canvas), ann)
 
 
 def head_mask(scene: Scene, spec: SceneSpec) -> np.ndarray:
@@ -138,10 +136,12 @@ def head_mask(scene: Scene, spec: SceneSpec) -> np.ndarray:
 def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
     """Write images, annotations, reference densities, and manifest.json.
 
+    Reference densities are rasterized from the annotations at DENSITY_SIGMA.
     Test scenes use indices n_train .. n_train + n_test - 1, so the same
     spec always produces the same bytes for every file.
     """
     out = Path(out_dir)
+    h, w = spec.height, spec.width
     manifest = {"train": [], "test": []}
     for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
         (out / split).mkdir(parents=True, exist_ok=True)
@@ -150,7 +150,8 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
             stem = f"{split}/scene_{i:04d}"
             save_image(scene.image, out / f"{stem}.pgm")
             save_annotations(scene.annotations, out / f"{stem}.json")
-            save_density(scene.density, out / f"{stem}.radm")
+            density = rasterize_density(scene.annotations, h, w, DENSITY_SIGMA)
+            save_density(density, out / f"{stem}.radm")
             manifest[split].append(
                 {
                     "image": f"{stem}.pgm",
@@ -181,8 +182,11 @@ def load_manifest(manifest_path) -> dict:
     return doc
 
 
-def load_split(manifest_path, split: str, with_density: bool = False) -> list[Scene]:
-    """Materialize one split's scenes relative to the manifest location."""
+def load_split(manifest_path, split: str) -> list[Scene]:
+    """Materialize one split's scenes relative to the manifest location.
+
+    Reference densities are not read; ``load_density`` reads an entry's file.
+    """
     doc = load_manifest(manifest_path)
     if split not in doc:
         raise ValueError(f"unknown split {split!r}")
@@ -191,9 +195,8 @@ def load_split(manifest_path, split: str, with_density: bool = False) -> list[Sc
     for entry in doc[split]:
         img = load_image(base / entry["image"])
         ann = load_annotations(base / entry["annotations"])
-        density = load_density(base / entry["density"]) if with_density else None
         try:
-            scenes.append(Scene(img, ann, density))
+            scenes.append(Scene(img, ann))
         except ValueError as exc:  # the files disagree with each other
             raise FormatError(f"{base / entry['annotations']}: {exc}") from None
     return scenes

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scene
+from .core import FormatError, Scene
 from .datagen import load_split
 from .network import ModelParams, NetConfig, predict
 from .training import load_checkpoint
@@ -74,4 +74,7 @@ def evaluate_scenes(scenes: list[Scene], params: ModelParams, cfg: NetConfig) ->
 def evaluate_checkpoint(checkpoint_path, manifest_path, split: str) -> EvalReport:
     """Load a checkpoint and score one split of a dataset manifest."""
     params, cfg = load_checkpoint(checkpoint_path)
-    return evaluate_scenes(load_split(manifest_path, split), params, cfg.net)
+    scenes = load_split(manifest_path, split)
+    if not scenes:
+        raise FormatError(f"{manifest_path}: split {split!r} lists no scenes")
+    return evaluate_scenes(scenes, params, cfg.net)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .core import ConfigDoc
+from .core import ConfigDoc, _readonly
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class RelevanceMatrix:
     """Row-stochastic m x m column-affinity weights (inspection wrapper).
 
     Row i holds the weights of output column i over the input columns;
-    each row sums to 1 and every entry lies strictly inside (0, 1).
+    each row sums to 1 and every entry lies in [0, 1]: a saturated softmax
+    rounds entries to exactly 0 or 1.
     """
 
     weights: np.ndarray
@@ -62,11 +63,9 @@ class RelevanceMatrix:
         sums = w.sum(axis=1)
         if np.abs(sums - 1.0).max() > tol:
             raise ValueError("relevance rows must sum to 1")
-        if w.min() <= 0.0 or w.max() >= 1.0:
-            raise ValueError("relevance entries must lie strictly inside (0, 1)")
-        wc = np.ascontiguousarray(w)
-        wc.flags.writeable = False
-        object.__setattr__(self, "weights", wc)
+        if w.min() < 0.0 or w.max() > 1.0:
+            raise ValueError("relevance entries must lie in [0, 1]")
+        object.__setattr__(self, "weights", _readonly(w))
 
     @property
     def size(self) -> int:

@@ -1,7 +1,5 @@
 """Bayesian point-supervision loss against direct formula evaluation."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,11 +9,8 @@ from ranet.bayes import (
     BayesParams,
     bayes_loss,
     expected_counts,
-    likelihood_bg,
-    likelihood_fg,
     margin_pixels,
     pixel_grid,
-    posteriors,
     posteriors_from_distances,
 )
 
@@ -23,76 +18,24 @@ from oracles import bf_bayes, check_gradient
 
 RNG = np.random.default_rng(57)
 
-GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)  # 0.3989422...
-
-
-class TestLikelihoodFg:
-    def test_zero_distance(self):
-        v = likelihood_fg(np.array([[2.0, 3.0]]), np.array([[2.0, 3.0]]), delta=1.0)
-        assert v[0, 0] == pytest.approx(GAUSS_PEAK, abs=1e-6)
-
-    def test_unit_distance(self):
-        v = likelihood_fg(np.array([[3.0, 3.0]]), np.array([[2.0, 3.0]]), delta=1.0)
-        assert v[0, 0] == pytest.approx(GAUSS_PEAK * math.exp(-0.5), abs=1e-6)
-        assert v[0, 0] == pytest.approx(0.24197, abs=1e-5)
-
-    def test_prefactor_halves_with_doubled_delta(self):
-        p = np.array([[1.0, 1.0]])
-        h = np.array([[1.0, 1.0]])
-        assert likelihood_fg(p, h, 2.0)[0, 0] == pytest.approx(
-            likelihood_fg(p, h, 1.0)[0, 0] / 2.0, rel=1e-12
-        )
-
-    def test_empty_pixel_list_rejected(self):
-        with pytest.raises(ValueError):
-            likelihood_fg(np.zeros((0, 2)), np.array([[0.0, 0.0]]), 1.0)
-
-
-class TestLikelihoodBg:
-    def test_zero_exponent_at_margin_distance(self):
-        # pixel exactly d away from its nearest head
-        v = likelihood_bg(np.array([[3.0, 0.0]]), np.array([[0.0, 0.0]]), delta=2.0, d=3.0)
-        assert v[0] == pytest.approx(GAUSS_PEAK / 2.0, rel=1e-12)
-
-    def test_pixel_on_head(self):
-        v = likelihood_bg(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), delta=1.0, d=1.0)
-        assert v[0] == pytest.approx(0.24197, abs=1e-5)
-
-    def test_nearest_head_matches_brute_force(self):
-        pixels = pixel_grid(6, 6)
-        heads = RNG.uniform(0, 6, size=(5, 2))
-        v = likelihood_bg(pixels, heads, delta=1.3, d=2.0)
-        for m, (px, py) in enumerate(pixels):
-            nearest = min(math.dist((px, py), (hx, hy)) for hx, hy in heads)
-            expect = GAUSS_PEAK / 1.3 * math.exp(-((2.0 - nearest) ** 2) / (2 * 1.3**2))
-            assert v[m] == pytest.approx(expect, rel=1e-10)
-
-    def test_zero_heads_rejected(self):
-        with pytest.raises(ValueError):
-            likelihood_bg(pixel_grid(2, 2), np.zeros((0, 2)), 1.0, 1.0)
-
 
 class TestPosteriors:
     def test_columns_sum_to_one(self):
         pixels = pixel_grid(5, 4)
         heads = RNG.uniform(0, 5, size=(3, 2))
-        fg = likelihood_fg(pixels, heads, 1.5)
-        bg = likelihood_bg(pixels, heads, 1.5, 2.0)
-        field = posteriors(fg, bg)
+        field = posteriors_from_distances(pixels, heads, 1.5, 2.0)
         np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-9)
 
     def test_symmetric_fifty_fifty(self):
-        fg = np.array([[0.37]])
-        bg = np.array([0.37])
-        field = posteriors(fg, bg)
+        # 1 pixel from the head with d = 2: the head and background exponents agree
+        pixel, head = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
+        field = posteriors_from_distances(pixel, head, 1.0, 2.0)
         np.testing.assert_allclose(field.probs, [[0.5], [0.5]], atol=1e-12)
 
     def test_worked_example_2x2(self):
         pixels = pixel_grid(2, 2)
         heads = np.array([[0.0, 0.0]])
-        fg = likelihood_fg(pixels, heads, 1.0)
-        bg = likelihood_bg(pixels, heads, 1.0, 1.0)
-        field = posteriors(fg, bg)
+        field = posteriors_from_distances(pixels, heads, 1.0, 1.0)
         # pixel order is row-major: (0,0), (1,0), (0,1), (1,1) as (x, y)
         head_row = field.probs[0]
         assert head_row[0] == pytest.approx(0.62246, abs=1e-4)
@@ -105,16 +48,6 @@ class TestPosteriors:
         expect, _, _, _ = bf_bayes(np.zeros((4, 5)), heads, 1.2, 1.8)
         np.testing.assert_allclose(field.probs, expect, atol=1e-10)
 
-    def test_prefactor_cancels(self):
-        pixels = pixel_grid(3, 3)
-        heads = RNG.uniform(0, 3, size=(2, 2))
-        fg = likelihood_fg(pixels, heads, 2.0)
-        bg = likelihood_bg(pixels, heads, 2.0, 1.5)
-        with_pref = posteriors(fg, bg).probs
-        scale = 17.3  # any common positive factor
-        without_pref = posteriors(fg * scale, bg * scale).probs
-        np.testing.assert_allclose(with_pref, without_pref, atol=1e-12)
-
     def test_log_space_survives_huge_distances(self):
         # direct exponentials underflow at distance ~300 with delta 1
         pixels = np.array([[300.0, 0.0]])
@@ -122,10 +55,6 @@ class TestPosteriors:
         field = posteriors_from_distances(pixels, heads, 1.0, 2.0)
         np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-12)
         assert field.background_row[0] > 0.999  # far pixel is background
-
-    def test_all_zero_column_is_an_error(self):
-        with pytest.raises(NumericError):
-            posteriors(np.zeros((2, 1)), np.zeros(1))
 
     def test_zero_heads_background_is_one(self):
         field = posteriors_from_distances(pixel_grid(3, 3), np.zeros((0, 2)), 1.0, 1.0)

@@ -330,3 +330,13 @@ class TestMalformedData:
     def test_manifest_entry_without_paths(self, data, checkpoint, capsys):
         (data / "manifest.json").write_text('{"train": [], "test": [{"image": 3}]}')
         assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    def test_empty_split(self, data, checkpoint, tmp_path, capsys):
+        manifest = data / "manifest.json"
+        manifest.write_text('{"train": [], "test": []}')
+        rc = main(["eval", "--ckpt", str(checkpoint), "--data", str(data), "--split", "test"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:")
+        assert str(manifest) in err and "'test'" in err
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.rack"), *FAST_TRAIN])
+        assert rc == 2 and capsys.readouterr().err.startswith("error:")

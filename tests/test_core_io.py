@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ranet.bayes import PosteriorField
 from ranet.core import (
     DensityMap,
     FormatError,
@@ -21,18 +22,20 @@ from ranet.core import (
     save_density,
     save_image,
 )
+from ranet.region_aware import RelevanceMatrix
 
 
 class TestTypes:
-    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap])
+    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap,
+                                     PosteriorField, RelevanceMatrix])
     def test_caller_array_stays_writable_and_unaliased(self, cls):
-        arr = np.zeros((2, 2))
+        arr = np.full((2, 2), 0.5)  # valid for every type, rows of a relevance matrix too
         obj = cls(arr)
         stored = getattr(obj, dataclasses.fields(obj)[0].name)
         assert arr.flags.writeable
         assert not stored.flags.writeable
-        arr[0, 0] = 0.5
-        assert stored[0, 0] == 0.0
+        arr[0, 0] = 0.25
+        assert stored[0, 0] == 0.5
 
     def test_image_rejects_out_of_range(self):
         with pytest.raises(ValueError):

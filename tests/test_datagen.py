@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from ranet.datagen import SceneSpec, gen_dataset, gen_scene, head_mask, load_split
+from ranet.core import load_annotations, load_density, rasterize_density
+from ranet.datagen import (
+    DENSITY_SIGMA,
+    SceneSpec,
+    gen_dataset,
+    gen_scene,
+    head_mask,
+    load_manifest,
+    load_split,
+)
 
 SPEC = SceneSpec(seed=11)
 
@@ -32,7 +41,8 @@ class TestGenScene:
 
     def test_reference_density_mass_matches_count(self):
         scene = gen_scene(SPEC, 7)
-        assert scene.density.count == pytest.approx(len(scene.annotations), abs=1e-8)
+        density = rasterize_density(scene.annotations, SPEC.height, SPEC.width, DENSITY_SIGMA)
+        assert density.count == pytest.approx(len(scene.annotations), abs=1e-8)
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
@@ -91,12 +101,23 @@ class TestGenDataset:
     def test_load_split_round_trips_counts(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=8)
         manifest = gen_dataset(spec, 3, 2, tmp_path)
-        scenes = load_split(manifest, "train", with_density=True)
+        scenes = load_split(manifest, "train")
         assert len(scenes) == 3
-        for i, scene in enumerate(scenes):
+        for i, (scene, entry) in enumerate(zip(scenes, load_manifest(manifest)["train"])):
             reference = gen_scene(spec, i)
             assert len(scene.annotations) == len(reference.annotations)
-            assert scene.density is not None
+            density = load_density(tmp_path / entry["density"])
+            assert density.count == pytest.approx(len(scene.annotations), abs=1e-4)
+
+    def test_density_files_rasterize_their_annotations(self, tmp_path):
+        spec = SceneSpec(width=40, height=32, seed=6)
+        manifest = gen_dataset(spec, 3, 2, tmp_path)
+        doc = load_manifest(manifest)
+        for entry in doc["train"] + doc["test"]:
+            ann = load_annotations(tmp_path / entry["annotations"])
+            expect = rasterize_density(ann, spec.height, spec.width, DENSITY_SIGMA)
+            written = load_density(tmp_path / entry["density"])
+            np.testing.assert_array_equal(written.values, expect.values.astype(np.float32))
 
     def test_test_split_disjoint_from_train(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=9)

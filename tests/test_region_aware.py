@@ -240,6 +240,15 @@ class TestRelevanceMatrixType:
         assert rm.size == 3
         np.testing.assert_allclose(rm.weights.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_saturated_softmax_accepted(self):
+        # column 0 of both inputs is 1: row 0's largest entry rounds to exactly 1
+        arr = np.zeros((64, 64))
+        arr[:, 0] = 1.0
+        rm = relevance_of(arr, arr)
+        assert rm.weights[0, 0] == 1.0
+        np.testing.assert_allclose(rm.weights.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(rm.weights[1:], 1 / 64, atol=1e-12)
+
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             RelevanceMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
