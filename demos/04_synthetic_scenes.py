@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from ranet import SceneSpec, gen_dataset, gen_scene, load_density, save_image
-from ranet.datagen import head_mask, load_manifest, load_split
+from ranet.datagen import HEAD_RADIUS_HI, HEAD_RADIUS_LO, head_mask, load_manifest, load_split
 
 spec = SceneSpec(seed=42)
 print("scene spec:", spec)
@@ -28,7 +28,7 @@ print("regeneration is bit-identical:",
       scene.image.pixels.tobytes() == again.image.pixels.tobytes())
 
 # Heads must outshine the background for the task to be learnable.
-mask = head_mask(scene, spec)
+mask = head_mask(scene)
 heads_mean = scene.image.pixels[mask].mean()
 bg_p90 = np.percentile(scene.image.pixels[~mask], 90)
 print(f"mean head-disc intensity {heads_mean:.3f} vs background 90th pct {bg_p90:.3f}")
@@ -38,26 +38,28 @@ top, bottom = [], []
 for i in range(100):
     s = gen_scene(spec, i)
     for x, y in s.annotations.points:
-        r = spec.min_radius + (spec.max_radius - spec.min_radius) * y / (spec.height - 1)
+        r = HEAD_RADIUS_LO + (HEAD_RADIUS_HI - HEAD_RADIUS_LO) * y / (spec.height - 1)
         (top if y < spec.height / 3 else bottom if y > 2 * spec.height / 3 else []).append(r)
 print(f"mean head radius: top third {np.mean(top):.2f}px, "
       f"bottom third {np.mean(bottom):.2f}px")
 
-# Write a small dataset tree and read it back through the manifest.
-out = pathlib.Path(tempfile.mkdtemp(prefix="scenes_"))
-manifest = gen_dataset(spec, n_train=4, n_test=2, out_dir=out)
-print("dataset tree at", out)
-for p in sorted(out.rglob("*")):
-    if p.is_file():
-        print("  ", p.relative_to(out))
+# Write a small dataset tree and read it back through the manifest; the
+# tree lives in a temporary directory that is removed at the end.
+with tempfile.TemporaryDirectory(prefix="scenes_") as tmp:
+    out = pathlib.Path(tmp)
+    manifest = gen_dataset(spec, n_train=4, n_test=2, out_dir=out)
+    print("dataset tree at", out)
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            print("  ", p.relative_to(out))
 
-train = load_split(manifest, "train")
-print("loaded", len(train), "train scenes; counts:",
-      [len(s.annotations) for s in train])
-# Reference densities are written next to each scene, one unit of mass per head.
-entries = load_manifest(manifest)["train"]
-print("reference density masses:",
-      [round(load_density(out / e["density"]).count, 4) for e in entries])
+    train = load_split(manifest, "train")
+    print("loaded", len(train), "train scenes; counts:",
+          [len(s.annotations) for s in train])
+    # Reference densities are written next to each scene, one unit of mass per head.
+    entries = load_manifest(manifest)["train"]
+    print("reference density masses:",
+          [round(load_density(out / e["density"]).count, 4) for e in entries])
 
-save_image(scene.image, out / "preview.pgm")
-print("preview image written to", out / "preview.pgm")
+    save_image(scene.image, out / "preview.pgm")
+    print("preview image written to", out / "preview.pgm")

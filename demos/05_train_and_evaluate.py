@@ -17,10 +17,11 @@ from ranet.evaluate import evaluate_scenes
 from ranet.network import predict
 from ranet.training import train
 
-root = pathlib.Path(tempfile.mkdtemp(prefix="run_"))
-manifest = gen_dataset(SceneSpec(seed=0), n_train=60, n_test=10, out_dir=root)
-train_scenes = load_split(manifest, "train")
-test_scenes = load_split(manifest, "test")
+# The corpus and the checkpoint go to temporary directories removed on exit.
+with tempfile.TemporaryDirectory(prefix="run_") as tmp:
+    manifest = gen_dataset(SceneSpec(seed=0), n_train=60, n_test=10, out_dir=tmp)
+    train_scenes = load_split(manifest, "train")
+    test_scenes = load_split(manifest, "test")
 
 counts = [len(s.annotations) for s in train_scenes]
 mean_count = float(np.mean(counts))
@@ -47,11 +48,12 @@ print(f"sample scene: true count {len(scene.annotations)}, "
       f"predicted {dmap.count:.2f}")
 print(f"priority map range [{prio.values.min():.3f}, {prio.values.max():.3f}]")
 
-ckpt = root / "model.rack"
-save_checkpoint(params, cfg, ckpt)
-print("checkpoint saved to", ckpt)
+with tempfile.TemporaryDirectory(prefix="run_") as tmp:
+    ckpt = pathlib.Path(tmp) / "model.rack"
+    save_checkpoint(params, cfg, ckpt)
+    print(f"checkpoint: {ckpt.stat().st_size} bytes")
 print()
 print("CLI equivalent:")
-print(f"  ranet gen --out {root} --train 40 --test 10 --seed 0")
-print(f"  ranet train --data {root} --out {ckpt} --epochs 10 --seed 0")
-print(f"  ranet eval --ckpt {ckpt} --data {root} --split test")
+print("  ranet gen --out data --train 40 --test 10 --seed 0")
+print("  ranet train --data data --out model.rack --epochs 10 --seed 0")
+print("  ranet eval --ckpt model.rack --data data --split test")

@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=train_defaults.seed)
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
-    p_train.add_argument("--two-tower", action="store_true",
-                         help="separate pass-2 backbone weights")
     p_train.add_argument("--log", metavar="CSV", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -125,7 +123,6 @@ def _cmd_train(args) -> int:
             pool_grids=grids,
             ra=RAConfig(temperature=args.ra_temp),
             seed=args.seed,
-            two_tower=args.two_tower,
         ),
         seed=args.seed,
     )

@@ -34,6 +34,8 @@ DENSITY_SIGMA = 2.0  # reference-density Gaussian spread, pixels
 MANIFEST_KEYS = ("image", "annotations", "density")  # relative paths per manifest entry
 
 HEAD_PEAK_LO, HEAD_PEAK_HI = 0.85, 1.0
+HEAD_RADIUS_LO, HEAD_RADIUS_HI = 2.0, 5.0  # at the top and bottom of the frame
+CLUTTER_COUNT_LO, CLUTTER_COUNT_HI = 0, 4  # unannotated blobs per scene, inclusive
 CLUTTER_PEAK_LO, CLUTTER_PEAK_HI = 0.15, 0.30
 CLUTTER_RADIUS_LO, CLUTTER_RADIUS_HI = 3.0, 8.0
 BACKGROUND_LEVEL = 0.08
@@ -45,29 +47,19 @@ class SceneSpec:
     height: int = 64
     min_heads: int = 1
     max_heads: int = 15
-    min_radius: float = 2.0
-    max_radius: float = 5.0
     noise: float = 0.05
-    min_clutter: int = 0
-    max_clutter: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 8 or self.height < 8:
-            raise ValueError("scene sides must be at least 8 pixels")
+        min_side = int(2 * HEAD_RADIUS_HI) + 1  # the largest head disc fits: radius < side / 2
+        if min(self.width, self.height) < min_side:
+            raise ValueError(
+                f"scene sides must be at least {min_side} pixels, got {self.width}x{self.height}"
+            )
         if not (0 <= self.min_heads <= self.max_heads):
             raise ValueError("need 0 <= min_heads <= max_heads")
-        if not (1.0 <= self.min_radius <= self.max_radius):
-            raise ValueError("need 1 <= min_radius <= max_radius")
-        if self.max_radius >= min(self.width, self.height) / 2:
-            raise ValueError(
-                f"max_radius {self.max_radius} must stay below half the shorter "
-                f"side ({min(self.width, self.height) / 2})"
-            )
         if not (0.0 <= self.noise < 1.0):
             raise ValueError("noise amplitude must lie in [0, 1)")
-        if not (0 <= self.min_clutter <= self.max_clutter):
-            raise ValueError("need 0 <= min_clutter <= max_clutter")
 
 
 def _stamp_disc(canvas: np.ndarray, x: float, y: float, radius: float, peak: float):
@@ -89,7 +81,7 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
     h, w = spec.height, spec.width
     canvas = np.full((h, w), BACKGROUND_LEVEL, dtype=np.float64)
 
-    n_clutter = int(rng.integers(spec.min_clutter, spec.max_clutter + 1))
+    n_clutter = int(rng.integers(CLUTTER_COUNT_LO, CLUTTER_COUNT_HI + 1))
     for _ in range(n_clutter):
         cx = rng.uniform(0, w - 1)
         cy = rng.uniform(0, h - 1)
@@ -104,8 +96,8 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
         y = rng.uniform(0, h - 1)
         # perspective: heads lower in the frame are closer, hence larger
         depth = y / (h - 1)
-        radius = spec.min_radius + (spec.max_radius - spec.min_radius) * depth
-        radius = float(np.clip(radius * rng.uniform(0.9, 1.1), spec.min_radius, spec.max_radius))
+        radius = HEAD_RADIUS_LO + (HEAD_RADIUS_HI - HEAD_RADIUS_LO) * depth
+        radius = float(np.clip(radius * rng.uniform(0.9, 1.1), HEAD_RADIUS_LO, HEAD_RADIUS_HI))
         _stamp_disc(canvas, x, y, radius, rng.uniform(HEAD_PEAK_LO, HEAD_PEAK_HI))
         pts.append((x, y))
 
@@ -117,14 +109,14 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
     return Scene(GrayImage(canvas), ann)
 
 
-def head_mask(scene: Scene, spec: SceneSpec) -> np.ndarray:
-    """Boolean mask of pixels within max_radius of any annotation."""
+def head_mask(scene: Scene) -> np.ndarray:
+    """Boolean mask of pixels within HEAD_RADIUS_HI of any annotation."""
     h, w = scene.image.height, scene.image.width
     mask = np.zeros((h, w), dtype=bool)
     ys = np.arange(h)[:, None]
     xs = np.arange(w)[None, :]
     for x, y in scene.annotations.points:
-        mask |= (ys - y) ** 2 + (xs - x) ** 2 <= spec.max_radius**2
+        mask |= (ys - y) ** 2 + (xs - x) ** 2 <= HEAD_RADIUS_HI**2
     return mask
 
 

@@ -4,7 +4,7 @@ Pass 1 extracts multi-scale features (strides 2, 4, 8, 8), runs a
 multi-grid pooled context head and a parallel dilated-convolution head,
 and decodes them into a full-resolution priority map in [0, 1].  The
 priority map re-enters through the column-relevance block to produce an
-enhanced input, and pass 2 (shared weights by default) turns that into a
+enhanced input, and pass 2 reuses the same backbone to turn that into a
 non-negative density map via sibling feature / attention heads.
 
 Parameters live as plain float32 arrays in a name -> array map and are
@@ -34,7 +34,6 @@ class NetConfig(ConfigDoc):
     dilation_rates: tuple[int, ...] = (1, 2, 3, 4)
     ra: RAConfig = field(default_factory=RAConfig, metadata={"prefix": "ra_"})
     seed: int = 0
-    two_tower: bool = False
     context_channels: int = 8
     aspp_channels: int = 8
     decoder_channels: int = 16
@@ -44,8 +43,9 @@ class NetConfig(ConfigDoc):
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("need at least 2 backbone blocks")
-        if any(w < 1 for w in self.widths):
-            raise ValueError("all channel widths must be >= 1")
+        for name, out_ch, in_ch, _, _ in _conv_spec(self):
+            if min(out_ch, in_ch) < 1:
+                raise ValueError(f"layer {name} maps {in_ch} -> {out_ch} channels; both need >= 1")
         if any(g < 1 for g in self.pool_grids):
             raise ValueError("pooling grids must be >= 1")
         if any(r < 1 for r in self.dilation_rates):
@@ -78,15 +78,8 @@ def _conv_spec(cfg: NetConfig) -> list[tuple[str, int, int, int, float | None]]:
     )
     spec: list[tuple[str, int, int, int, float | None]] = []
 
-    def backbone(prefix: str):
-        in_ch = 1
-        for i, out_ch in enumerate(w):
-            spec.append((f"{prefix}.block{i + 1}", out_ch, in_ch, 3, 0.0))
-            in_ch = out_ch
-
-    backbone("bb")
-    if cfg.two_tower:
-        backbone("bb2")
+    for i, (in_ch, out_ch) in enumerate(zip((1, *w), w)):
+        spec.append((f"bb.block{i + 1}", out_ch, in_ch, 3, 0.0))
     for g in cfg.pool_grids:
         spec.append((f"ctx.scale{g}", cc, w[-2], 1, 0.0))
     spec.append(("ctx.fuse", w[-2], w[-2] + cc * len(cfg.pool_grids), 1, 0.0))
@@ -171,13 +164,13 @@ def _fuse(p: dict[str, Tensor], name: str, skip: Tensor, *deep: Tensor) -> Tenso
     return ad.relu(_conv(ad.concat_channels(ups + [skip]), p, name))
 
 
-def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig, prefix: str):
+def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig):
     """Features at strides 2, 4, 8, 8 (pooling after the first three blocks)."""
     n = len(cfg.widths)
     feats = []
     h = x
     for i in range(n):
-        h = ad.relu(_conv(h, p, f"{prefix}.block{i + 1}"))
+        h = ad.relu(_conv(h, p, f"bb.block{i + 1}"))
         if i < min(3, n - 1):
             h = ad.avgpool(h, 2)
         feats.append(h)
@@ -188,7 +181,7 @@ def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     """Image tensor [1, H, W] -> priority tensor [1, H, W] in [0, 1]."""
     _, h, w = x.shape
     _check_input_shape(h, w)
-    feats = _backbone(x, p, cfg, "bb")
+    feats = _backbone(x, p, cfg)
     f2, f3, f4, f5 = feats[0], feats[1], feats[-2], feats[-1]
 
     fh, fw = f4.shape[1], f4.shape[2]
@@ -226,8 +219,7 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     """
     _, h, w = x.shape
     _check_input_shape(h, w)
-    prefix = "bb2" if cfg.two_tower else "bb"
-    feats = _backbone(x, p, cfg, prefix)
+    feats = _backbone(x, p, cfg)
     f2, f3, f5 = feats[0], feats[1], feats[-1]
 
     d1 = _fuse(p, "head.fuse1", f3, f5)

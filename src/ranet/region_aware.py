@@ -25,19 +25,15 @@ from .core import ConfigDoc, _readonly
 
 @dataclass(frozen=True)
 class RAConfig(ConfigDoc):
-    """Knobs for the relevance computation.
+    """The relevance softmax's temperature.
 
     temperature divides the similarity matrix before the softmax.  Raw
     inner products of length-n columns grow with n and saturate the
     softmax for tall images; sqrt(n) is a reasonable setting there.  The
     default of 1 applies the softmax to the raw inner products.
-
-    column_normalize rescales every column of both operands to unit
-    Euclidean norm before the inner product (cosine similarity).
     """
 
     temperature: float = 1.0
-    column_normalize: bool = False
 
     def __post_init__(self):
         if not (self.temperature > 0):
@@ -72,15 +68,12 @@ class RelevanceMatrix:
         return self.weights.shape[0]
 
 
-def similarity(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
+def similarity(q: Tensor, a: Tensor) -> Tensor:
     """Inner products of every image column with every priority column: Q^T A."""
     if q.data.ndim != 2 or a.data.ndim != 2:
         raise ShapeError(f"similarity: expected 2D operands, got {q.shape} and {a.shape}")
     if q.shape != a.shape:
         raise ShapeError(f"similarity: shapes {q.shape} and {a.shape} differ")
-    if cfg.column_normalize:
-        q = ad.normalize_columns(q)
-        a = ad.normalize_columns(a)
     return ad.matmul(ad.transpose(q), a)
 
 
@@ -105,7 +98,7 @@ def embed(q: Tensor, w: Tensor) -> Tensor:
 
 def ra_apply(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
     """Full block: similarity -> relevance -> embedding, differentiable in q and a."""
-    s = similarity(q, a, cfg)
+    s = similarity(q, a)
     w = relevance(s, cfg)
     return embed(q, w)
 
@@ -113,7 +106,7 @@ def ra_apply(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
 def relevance_of(image: np.ndarray, priority: np.ndarray, cfg: RAConfig = RAConfig()) -> RelevanceMatrix:
     """Convenience: the relevance matrix for raw arrays, as an inspection value."""
     tape = Tape(np.float64)
-    w = relevance(similarity(tape.tensor(image), tape.tensor(priority), cfg), cfg)
+    w = relevance(similarity(tape.tensor(image), tape.tensor(priority)), cfg)
     return RelevanceMatrix(w.data)
 
 

@@ -15,11 +15,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .bayes import BayesParams
-from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene
+from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, _fits
 from .network import ModelParams, NetConfig, full_forward, init_params, param_shapes, pass1_param_names
 
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 10.0  # batches whose global gradient norm exceeds this are scaled down to it
+
+# Config keys that older builds wrote for settings this build fixes, per
+# block ("" is the top level), with the one value each may still hold.
+_RETIRED_KEYS = {
+    "": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "clip_norm": CLIP_NORM},
+    "net": {"two_tower": False, "ra_column_normalize": False},
+}
 
 
 class TrainingError(RuntimeError):
@@ -43,10 +53,6 @@ class TrainConfig(ConfigDoc):
     bayes: BayesParams = field(default_factory=_training_bayes_default, metadata={"prefix": ""})
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 10.0
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -118,15 +124,15 @@ def _global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def _adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptState,
-               cfg: TrainConfig) -> ModelParams:
+               lr: float) -> ModelParams:
     state.step += 1
     t = state.step
-    b1 = np.float32(cfg.beta1)
-    b2 = np.float32(cfg.beta2)
-    corr1 = np.float32(1.0 - cfg.beta1**t)
-    corr2 = np.float32(1.0 - cfg.beta2**t)
-    lr = np.float32(cfg.lr)
-    eps = np.float32(cfg.eps)
+    b1 = np.float32(ADAM_BETA1)
+    b2 = np.float32(ADAM_BETA2)
+    corr1 = np.float32(1.0 - ADAM_BETA1**t)
+    corr2 = np.float32(1.0 - ADAM_BETA2**t)
+    lr = np.float32(lr)
+    eps = np.float32(ADAM_EPS)
     new_params: ModelParams = {}
     for name, p in params.items():
         g = grads[name]
@@ -188,10 +194,10 @@ def train_epoch(
         grads = {k: g * inv for k, g in grad_sum.items()}
         batch_norms.append(_global_norm({k: grads[k] for k in p1_names}))
         norm = _global_norm(grads)
-        if norm > cfg.clip_norm:
-            factor = np.float32(cfg.clip_norm / norm)
+        if norm > CLIP_NORM:
+            factor = np.float32(CLIP_NORM / norm)
             grads = {k: g * factor for k, g in grads.items()}
-        params = _adam_step(params, grads, state, cfg)
+        params = _adam_step(params, grads, state, cfg.lr)
 
     stats = EpochStats(
         epoch=epoch,
@@ -265,6 +271,21 @@ def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
             fh.write(arr.astype("<f4").tobytes(order="C"))
 
 
+def _drop_retired_keys(doc):
+    """Strip the keys of retired settings from a parsed config block; FormatError
+    if one holds any value but the one this build fixes."""
+    blocks = {"": doc, "net": doc.get("net") if isinstance(doc, dict) else None}
+    for name, retired in _RETIRED_KEYS.items():
+        block = blocks[name] if isinstance(blocks[name], dict) else {}  # else from_dict reports it
+        for key, fixed in retired.items():
+            value = block.pop(key, fixed)
+            if not (_fits(value, type(fixed)) and value == fixed):
+                raise FormatError(
+                    f"config key {key!r}: {value!r:.40} is retired; this build fixes it at {fixed!r}"
+                )
+    return doc
+
+
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob
@@ -284,7 +305,8 @@ class _Reader:
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     """Read a RACK file; FormatError unless it holds exactly the tensors its
-    config implies, with the implied shapes and finite values."""
+    config implies, with the implied shapes and finite values.  A config block
+    from an older build loads if each retired key holds the value now fixed."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob, path)
@@ -294,7 +316,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     try:
-        cfg = TrainConfig.from_dict(json.loads(r.take(r.u32()).decode("utf-8")))
+        cfg = TrainConfig.from_dict(_drop_retired_keys(json.loads(r.take(r.u32()).decode("utf-8"))))
     except ValueError as exc:  # not UTF-8, not JSON, or not a valid config
         raise FormatError(f"{path}: unreadable config block ({exc})") from None
     expected = param_shapes(cfg.net)

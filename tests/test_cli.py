@@ -47,6 +47,11 @@ class TestGen:
             for key in ("image", "annotations", "density"):
                 assert (dataset / entry[key]).exists()
 
+    def test_side_below_limit_names_it(self, tmp_path, capsys):
+        rc = main(["gen", "--out", str(tmp_path), "--width", "10", "--height", "10"])
+        assert rc == 1
+        assert "at least 11 pixels" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_writes_checkpoint_and_telemetry(self, dataset, tmp_path, capsys):
@@ -276,6 +281,38 @@ class TestMalformedCheckpoint:
                                        lambda doc: doc["net"].update(widths="abc")))
         rc, err = infer(bad)
         assert rc == 2 and "widths" in err
+
+    @pytest.mark.parametrize("key,value,layer", [
+        ("head_channels", 0, "head.fuse1"),
+        ("decoder_channels", 1, "dec.fuse2"),
+    ])
+    def test_config_with_an_empty_layer(self, checkpoint, tmp_path, infer, key, value, layer):
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(),
+                                       lambda doc: doc["net"].update({key: value})))
+        rc, err = infer(bad)
+        assert rc == 2 and layer in err
+
+    @pytest.mark.parametrize("key,edit", [
+        ("ra_column_normalize", lambda doc: doc["net"].update(ra_column_normalize=True)),
+        ("clip_norm", lambda doc: doc.update(clip_norm=5.0)),
+    ])
+    def test_retired_key_with_another_value(self, checkpoint, tmp_path, infer, key, edit):
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(), edit))
+        rc, err = infer(bad)
+        assert rc == 2 and key in err
+
+    def test_second_backbone(self, checkpoint, tmp_path, infer):
+        # a checkpoint from a build that could give pass 2 its own backbone
+        def add_bb2(p):
+            for name in [n for n in p if n.startswith("bb.")]:
+                p["bb2." + name[3:]] = p[name].copy()
+        blob = self.edited_params(checkpoint, tmp_path, add_bb2).read_bytes()
+        bad = tmp_path / "two_tower.rack"
+        bad.write_bytes(rewrite_config(blob, lambda doc: doc["net"].update(two_tower=True)))
+        rc, err = infer(bad)
+        assert rc == 2 and "two_tower" in err
 
     def test_undecodable_tensor_name(self, checkpoint, tmp_path, infer):
         blob = bytearray(checkpoint.read_bytes())

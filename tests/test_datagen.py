@@ -6,6 +6,8 @@ import pytest
 from ranet.core import load_annotations, load_density, rasterize_density
 from ranet.datagen import (
     DENSITY_SIGMA,
+    HEAD_RADIUS_HI,
+    HEAD_RADIUS_LO,
     SceneSpec,
     gen_dataset,
     gen_scene,
@@ -46,13 +48,13 @@ class TestGenScene:
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
-            SceneSpec(width=16, height=16, max_radius=8.0)
+            SceneSpec(width=10, height=10)
 
     def test_heads_brighter_than_background(self):
         # mean disc intensity must clear the 90th percentile of background
         for i in range(25):
             scene = gen_scene(SPEC, i)
-            mask = head_mask(scene, SPEC)
+            mask = head_mask(scene)
             heads = scene.image.pixels[mask]
             background = scene.image.pixels[~mask]
             assert heads.mean() > np.percentile(background, 90)
@@ -65,7 +67,7 @@ class TestGenScene:
         for i in range(100):
             scene = gen_scene(SPEC, i)
             for x, y in scene.annotations.points:
-                r = SPEC.min_radius + (SPEC.max_radius - SPEC.min_radius) * y / (h - 1)
+                r = HEAD_RADIUS_LO + (HEAD_RADIUS_HI - HEAD_RADIUS_LO) * y / (h - 1)
                 if y < h / 3:
                     top.append(r)
                 elif y > 2 * h / 3:

@@ -18,9 +18,11 @@ QUICK_DEMOS = [
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)
-def test_demo_exits_cleanly(demo):
+def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(tmp_path)  # the demo's temporary files must be gone when it exits
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []

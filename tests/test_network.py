@@ -50,20 +50,23 @@ class TestInitParams:
             assert np.all(np.isfinite(arr))
             assert np.abs(arr).max() < 10
 
-    def test_two_tower_has_second_backbone(self):
-        single = init_params(NetConfig(seed=1))
-        double = init_params(NetConfig(seed=1, two_tower=True))
-        assert any(k.startswith("bb2.") for k in double)
-        assert not any(k.startswith("bb2.") for k in single)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NetConfig(widths=(8,))
         with pytest.raises(ValueError):
             NetConfig(pool_grids=(0,))
 
+    @pytest.mark.parametrize("kwargs,layer", [
+        ({"head_channels": 0}, "head.fuse1"),
+        ({"decoder_channels": 1}, "dec.fuse2"),
+        ({"widths": (8, 16, 32, 1)}, "aspp.fuse"),
+    ])
+    def test_every_layer_has_a_channel(self, kwargs, layer):
+        with pytest.raises(ValueError, match=layer):
+            NetConfig(**kwargs)
+
     def test_config_round_trips_as_dict(self):
-        cfg = NetConfig(widths=(4, 8), pool_grids=(1, 2), seed=9, two_tower=True)
+        cfg = NetConfig(widths=(4, 8), pool_grids=(1, 2), seed=9)
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -110,7 +113,7 @@ class TestPass1:
         params = init_params(SMALL)
         tape = Tape(np.float32)
         leaves = bind(tape, params, requires_grad=False)
-        feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves, SMALL, "bb")
+        feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves, SMALL)
         assert [f.shape[1:] for f in feats] == [(16, 24), (8, 12), (4, 6), (4, 6)]
 
 
@@ -182,18 +185,6 @@ class TestPass2AndFullForward:
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
         assert pm.values.tobytes() == res.priority.data.astype(np.float64).tobytes()
         assert dm.count >= 0.0
-
-    def test_two_tower_separates_passes(self):
-        cfg = NetConfig(pool_grids=(1, 2), dilation_rates=(1, 2), seed=3, two_tower=True)
-        params = init_params(cfg)
-        heads = RNG.uniform(0, 15, size=(2, 2))
-        res = full_forward(random_image(), heads, params, cfg, BAYES)
-        ad.backward(res.loss)
-        # pass-2 backbone gets gradient; pass-1 backbone only via the feedback path
-        g2 = res.leaves["bb2.block1.k"].grad
-        g1 = res.leaves["bb.block1.k"].grad
-        assert g2 is not None and np.abs(g2).max() > 0
-        assert g1 is not None and np.abs(g1).max() > 0
 
     def test_feedback_path_carries_signal(self):
         params = init_params(SMALL)

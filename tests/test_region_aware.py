@@ -174,32 +174,6 @@ class TestRaApply:
             assert check_gradient(fq, q_arr, q.grad, 5, RNG) < 1e-4
             assert check_gradient(fa, a_arr, a.grad, 5, RNG) < 1e-4
 
-    def test_column_normalize_mode(self):
-        cfg = RAConfig(column_normalize=True)
-        q_arr = RNG.uniform(0.1, 1.0, size=(6, 4))
-        a_arr = RNG.uniform(0.1, 1.0, size=(6, 4))
-        qn = q_arr / np.linalg.norm(q_arr, axis=0)
-        an = a_arr / np.linalg.norm(a_arr, axis=0)
-        out = enhance(q_arr, a_arr, cfg)
-        expected = q_arr @ bf_relevance(qn.T @ an).T
-        np.testing.assert_allclose(out, expected, atol=1e-9)
-
-    def test_column_normalize_gradient(self):
-        cfg = RAConfig(column_normalize=True, temperature=2.0)
-        q_arr = RNG.uniform(0.2, 1.0, size=(4, 3))
-        a_arr = RNG.uniform(0.2, 1.0, size=(4, 3))
-
-        def run(qv, av):
-            tape = Tape(np.float64)
-            q = tape.tensor(qv, requires_grad=True)
-            a = tape.tensor(av, requires_grad=True)
-            return q, a, ad.sum_all(ra_apply(q, a, cfg))
-
-        q, a, loss = run(q_arr, a_arr)
-        ad.backward(loss)
-        fq = lambda v: float(run(v, a_arr)[2].data)
-        assert check_gradient(fq, q_arr, q.grad, 6, RNG) < 1e-4
-
 
 class TestInvariants:
     def test_row_stochastic_and_positive(self):

@@ -1,6 +1,7 @@
 """Cropping, optimizer determinism, checkpoint format, and overfit sanity."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestCheckpointFormat:
         cfg = TrainConfig(
             lr=2e-3, batch_size=4, crop=32, epochs=9, seed=3,
             bayes=BayesParams(delta=3.5, d_ratio=0.2),
-            net=NetConfig(widths=(4, 8, 8, 8), pool_grids=(1, 3), seed=2, two_tower=True),
+            net=NetConfig(widths=(4, 8, 8, 8), pool_grids=(1, 3), seed=2),
         )
         params = init_params(cfg.net)
         path = tmp_path / "model.rack"
@@ -255,9 +256,19 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
-# The config block of a default checkpoint as the RACK format has always
-# written it (``perfbench/checkpoint/infer256.rack`` holds these bytes).
+# The config block of a default checkpoint as this build writes it.
 DEFAULT_CONFIG_JSON = (
+    '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
+    '"net": {"aspp_channels": 8, "context_channels": 8, "decoder_channels": 16, '
+    '"density_bias": -6.0, "dilation_rates": [1, 2, 3, 4], "head_channels": 16, '
+    '"pool_grids": [1, 2, 3, 6], "ra_temperature": 1.0, '
+    '"seed": 0, "widths": [8, 16, 32, 32]}, "seed": 0}'
+)
+
+# The same block as builds with configurable Adam settings, clip norm, cosine
+# similarity and second backbone wrote it (``perfbench/checkpoint/infer256.rack``
+# holds these bytes).
+LEGACY_CONFIG_JSON = (
     '{"batch_size": 8, "beta1": 0.9, "beta2": 0.999, "clip_norm": 10.0, "crop": 64, '
     '"d_ratio": 0.1, "delta": 16.0, "epochs": 30, "eps": 1e-08, "lr": 0.001, '
     '"net": {"aspp_channels": 8, "context_channels": 8, "decoder_channels": 16, '
@@ -265,6 +276,20 @@ DEFAULT_CONFIG_JSON = (
     '"pool_grids": [1, 2, 3, 6], "ra_column_normalize": false, "ra_temperature": 1.0, '
     '"seed": 0, "two_tower": false, "widths": [8, 16, 32, 32]}, "seed": 0}'
 )
+
+COMMITTED_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/checkpoint/infer256.rack"
+
+
+def hand_built_rack(config_json: str, params) -> bytes:
+    """A RACK file assembled byte by byte from a config block and parameters."""
+    doc = config_json.encode("utf-8")
+    blob = b"RACK" + np.array([1, len(doc)], dtype="<u4").tobytes() + doc
+    for name, arr in params.items():
+        blob += np.array([len(name)], dtype="<u4").tobytes()
+        blob += name.encode("utf-8")
+        blob += np.array([arr.ndim, *arr.shape], dtype="<u4").tobytes()
+        blob += arr.astype("<f4").tobytes()
+    return blob
 
 
 class TestPinnedConfigFormat:
@@ -284,20 +309,39 @@ class TestPinnedConfigFormat:
         assert blob[12 : 12 + n] == DEFAULT_CONFIG_JSON.encode("utf-8")
 
     def test_pinned_rack_loads(self, tmp_path):
-        # a RACK file assembled by hand from the pinned config block
         params = init_params(NetConfig())
-        doc = DEFAULT_CONFIG_JSON.encode("utf-8")
-        blob = b"RACK" + np.array([1, len(doc)], dtype="<u4").tobytes() + doc
-        for name, arr in params.items():
-            blob += np.array([len(name)], dtype="<u4").tobytes()
-            blob += name.encode("utf-8")
-            blob += np.array([arr.ndim, *arr.shape], dtype="<u4").tobytes()
-            blob += arr.astype("<f4").tobytes()
         path = tmp_path / "pinned.rack"
-        path.write_bytes(blob)
+        path.write_bytes(hand_built_rack(DEFAULT_CONFIG_JSON, params))
         loaded, cfg = load_checkpoint(path)
         assert cfg == TrainConfig()
         assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+
+    def test_legacy_rack_loads(self, tmp_path):
+        params = init_params(NetConfig())
+        path = tmp_path / "legacy.rack"
+        path.write_bytes(hand_built_rack(LEGACY_CONFIG_JSON, params))
+        loaded, cfg = load_checkpoint(path)
+        assert cfg == TrainConfig()
+        assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+
+    def test_committed_legacy_checkpoint_loads(self):
+        params, cfg = load_checkpoint(COMMITTED_CHECKPOINT)
+        assert cfg == TrainConfig()
+        assert list(params) == list(init_params(NetConfig()))
+
+    @pytest.mark.parametrize("block,key,value", [
+        (None, "beta1", 0.8), (None, "beta2", 0.99), (None, "eps", 1e-6),
+        (None, "clip_norm", -10.0), (None, "clip_norm", "10.0"),
+        ("net", "two_tower", True), ("net", "two_tower", 0),
+        ("net", "ra_column_normalize", True),
+    ])
+    def test_retired_key_with_another_value_is_format_error(self, tmp_path, block, key, value):
+        doc = json.loads(LEGACY_CONFIG_JSON)
+        (doc[block] if block else doc)[key] = value
+        path = tmp_path / "legacy.rack"
+        path.write_bytes(hand_built_rack(json.dumps(doc), init_params(NetConfig())))
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
         ("lr", "0.001"), ("epochs", 30.0), ("epochs", True), ("delta", float("nan")),
@@ -314,7 +358,7 @@ class TestPinnedConfigFormat:
         with pytest.raises(FormatError, match="pool_grids"):
             TrainConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["d_ratio", "net", "clip_norm"])
+    @pytest.mark.parametrize("key", ["d_ratio", "net", "lr"])
     def test_missing_key_is_format_error(self, key):
         doc = json.loads(DEFAULT_CONFIG_JSON)
         del doc[key]
