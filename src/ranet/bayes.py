@@ -71,30 +71,42 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
 
 
-def _sq_distances(pixels: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (N, M)."""
-    diff = heads[:, None, :] - pixels[None, :, :]
-    return (diff * diff).sum(axis=2)
-
-
 def posteriors_from_distances(
     pixels: np.ndarray, heads: np.ndarray, delta: float, d: float
 ) -> PosteriorField:
-    """Posteriors computed directly from distances; immune to underflow."""
+    """Posteriors computed directly from distances; immune to underflow.
+
+    Every step runs in place in the one (N+1) x M result buffer, operation
+    for operation as in the out-of-place formula that the test oracle
+    ``ref_posteriors`` keeps, so the two agree to the last bit.
+    """
     pixels = np.asarray(pixels, dtype=np.float64)
-    heads = np.asarray(heads, dtype=np.float64).reshape(-1, 2)
-    if heads.shape[0] == 0:
-        return PosteriorField(np.ones((1, pixels.shape[0])))
-    sq = _sq_distances(pixels, heads)
-    inv = 1.0 / (2.0 * delta * delta)
-    log_fg = -sq * inv
+    heads = np.asarray(heads, dtype=np.float64)
+    if heads.ndim != 2 or heads.shape[1] != 2:
+        raise ShapeError(f"posteriors: heads must have shape (N, 2), got {heads.shape}")
+    if not np.all(np.isfinite(heads)):
+        raise NumericError("posteriors: heads contain non-finite coordinates")
+    n, m = heads.shape[0], pixels.shape[0]
+    if n == 0:
+        return PosteriorField(np.ones((1, m)))
+    out = np.empty((n + 1, m))
+    sq = out[:n]
+    np.subtract(heads[:, :1], pixels[:, 0], out=sq)
+    np.square(sq, out=sq)
+    dy = heads[:, 1:] - pixels[:, 1]
+    sq += np.square(dy, out=dy)  # x^2 + y^2, the direct order
     nearest = np.sqrt(sq.min(axis=0))
-    log_bg = -((d - nearest) ** 2) * inv
-    logs = np.vstack([log_fg, log_bg[None, :]])
-    e = np.exp(logs - logs.max(axis=0, keepdims=True))
-    probs = e / e.sum(axis=0, keepdims=True)
-    probs.flags.writeable = False  # fresh and frozen, so the field wraps it uncopied
-    return PosteriorField(probs)
+    inv = 1.0 / (2.0 * delta * delta)
+    sq *= -inv  # log foreground likelihoods
+    bg = out[n]
+    np.subtract(d, nearest, out=bg)
+    np.square(bg, out=bg)
+    bg *= -inv  # log background likelihood
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0)
+    out.flags.writeable = False  # fresh and frozen, so the field wraps it uncopied
+    return PosteriorField(out)
 
 
 def expected_counts(post: PosteriorField, density: np.ndarray) -> tuple[np.ndarray, float]:
@@ -123,13 +135,10 @@ def bayes_loss(dmap: Tensor, heads: np.ndarray, params: BayesParams) -> Tensor:
         raise ShapeError(f"bayes_loss: density must be [H, W], got {dmap.shape}")
     if not np.all(np.isfinite(dmap.data)):
         raise NumericError("bayes_loss: density map contains non-finite values")
-    heads = np.asarray(heads, dtype=np.float64).reshape(-1, 2)
     h, w = dmap.shape
-    n = heads.shape[0]
-
-    grid = pixel_grid(h, w)
-    d = margin_pixels(params, h, w)
-    post = posteriors_from_distances(grid, heads, params.delta, d)
+    post = posteriors_from_distances(pixel_grid(h, w), heads, params.delta,
+                                     margin_pixels(params, h, w))
+    n = post.probs.shape[0] - 1
 
     tape = dmap.tape
     weights = tape.constant(post.probs)            # (N+1, M), constant w.r.t. dmap

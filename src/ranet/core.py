@@ -179,20 +179,31 @@ class ConfigDoc:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict, prefix: str = ""):
-        """Inverse of ``to_dict``; FormatError on a missing key or a mistyped value."""
+    def from_dict(cls, doc: dict):
+        """Inverse of ``to_dict``; FormatError on a missing, unknown or mistyped key."""
         if not isinstance(doc, dict):
             raise FormatError(f"{cls.__name__} document must be a JSON object")
+        read: set = set()
+        cfg = cls._from_keys(doc, "", read)
+        unknown = [key for key in doc if key not in read]
+        if unknown:
+            raise FormatError(f"config key {unknown[0]!r} is not a setting of {cls.__name__}")
+        return cfg
+
+    @classmethod
+    def _from_keys(cls, doc: dict, prefix: str, read: set):
+        """Build from the keys ``prefix + field`` of ``doc``, adding each to ``read``."""
         hints = get_type_hints(cls)
         kwargs = {}
         for f in fields(cls):
             hint = hints[f.name]
             if "prefix" in f.metadata:
-                kwargs[f.name] = hint.from_dict(doc, prefix + f.metadata["prefix"])
+                kwargs[f.name] = hint._from_keys(doc, prefix + f.metadata["prefix"], read)
                 continue
             key = prefix + f.name
             if key not in doc:
                 raise FormatError(f"config key {key!r} is missing")
+            read.add(key)
             value = doc[key]
             if issubclass(get_origin(hint) or hint, ConfigDoc):
                 kwargs[f.name] = hint.from_dict(value)

@@ -132,6 +132,28 @@ def bf_bayes(density: np.ndarray, heads, delta: float, d: float):
     return post, np.array(counts[:-1]), counts[-1], loss
 
 
+def ref_posteriors(pixels: np.ndarray, heads: np.ndarray, delta: float, d: float) -> np.ndarray:
+    """The log-space posterior matrix (N+1) x M, written out of place.
+
+    The same float64 operations in the same order as the library's in-place
+    version, through a full (N, M, 2) difference array, a stacked log matrix
+    and fresh arrays at every step, so the two must agree to the last bit.
+    """
+    pixels = np.asarray(pixels, dtype=np.float64)
+    heads = np.asarray(heads, dtype=np.float64).reshape(-1, 2)
+    if heads.shape[0] == 0:
+        return np.ones((1, pixels.shape[0]))
+    diff = heads[:, None, :] - pixels[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    inv = 1.0 / (2.0 * delta * delta)
+    log_fg = -sq * inv
+    nearest = np.sqrt(sq.min(axis=0))
+    log_bg = -((d - nearest) ** 2) * inv
+    logs = np.vstack([log_fg, log_bg[None, :]])
+    e = np.exp(logs - logs.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # Spatial primitives, brute force (per-tap, per-corner and per-bin loops)
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Bayesian point-supervision loss against direct formula evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ranet import autodiff as ad
+from ranet import bayes
 from ranet.autodiff import NumericError, ShapeError, Tape
 from ranet.bayes import (
     BayesParams,
@@ -14,7 +17,7 @@ from ranet.bayes import (
     posteriors_from_distances,
 )
 
-from oracles import bf_bayes, check_gradient
+from oracles import bf_bayes, check_gradient, ref_posteriors
 
 RNG = np.random.default_rng(57)
 
@@ -59,6 +62,66 @@ class TestPosteriors:
     def test_zero_heads_background_is_one(self):
         field = posteriors_from_distances(pixel_grid(3, 3), np.zeros((0, 2)), 1.0, 1.0)
         np.testing.assert_array_equal(field.probs, np.ones((1, 9)))
+
+    @pytest.mark.parametrize("heads", [np.array([1.0, 2.0, 3.0]), np.zeros((2, 3)),
+                                       np.zeros((1, 2, 2)), np.zeros(0)])
+    def test_heads_not_n_by_2_rejected(self, heads):
+        with pytest.raises(ShapeError, match="heads"):
+            posteriors_from_distances(pixel_grid(3, 3), heads, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_heads_rejected(self, bad):
+        with pytest.raises(NumericError, match="heads"):
+            posteriors_from_distances(pixel_grid(3, 3), np.array([[bad, 1.0]]), 1.0, 1.0)
+
+
+def _random_heads(n, h, w, rng):
+    return np.column_stack([rng.uniform(0, w - 1, size=n), rng.uniform(0, h - 1, size=n)])
+
+
+class TestPosteriorBits:
+    """The in-place posteriors equal the out-of-place formula byte for byte."""
+
+    def assert_same_bits(self, pixels, heads, delta, d):
+        got = posteriors_from_distances(pixels, heads, delta, d).probs
+        assert np.array_equal(got, ref_posteriors(pixels, heads, delta, d))
+
+    def test_criterion_5_ranges(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            h, w = int(rng.integers(2, 33)), int(rng.integers(2, 33))
+            heads = _random_heads(int(rng.integers(1, 51)), h, w, rng)
+            self.assert_same_bits(pixel_grid(h, w), heads, float(rng.uniform(0.5, 9.0)),
+                                  float(rng.uniform(0.5, 8.0)))
+
+    @pytest.mark.parametrize("n", [60, 120])
+    @pytest.mark.parametrize("delta", [2.0, 16.0])
+    def test_dense_crop(self, n, delta):
+        rng = np.random.default_rng(n)
+        self.assert_same_bits(pixel_grid(128, 128), _random_heads(n, 128, 128, rng), delta, 12.8)
+
+    def test_fractional_heads(self):
+        heads = np.array([[0.5, 0.25], [3.125, 7.75], [6.999, 0.001], [2.0, 2.0]])
+        self.assert_same_bits(pixel_grid(8, 8), heads, 1.3, 1.7)
+
+    def test_pixels_off_the_integer_grid(self):
+        rng = np.random.default_rng(11)
+        pixels = pixel_grid(24, 20) + np.array([0.37, -0.61])
+        self.assert_same_bits(pixels, _random_heads(9, 24, 20, rng) + 13.5, 3.0, 2.4)
+
+
+def test_posteriors_peak_memory_near_the_result_size():
+    # one result buffer plus one N x M temporary; the out-of-place formula peaks near 5x
+    n, side = 90, 128
+    pixels = pixel_grid(side, side)
+    heads = _random_heads(n, side, side, np.random.default_rng(90))
+    tracemalloc.start()
+    try:
+        posteriors_from_distances(pixels, heads, 16.0, 12.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (n + 1) * side * side * 8
 
 
 class TestExpectedCounts:
@@ -190,6 +253,29 @@ class TestBayesLoss:
         bad.data[0, 0] = np.nan
         with pytest.raises(NumericError):
             bayes_loss(bad, np.array([[0.0, 0.0]]), BayesParams(delta=1.0, d_ratio=0.5))
+
+    def test_bad_heads_rejected_at_entry(self):
+        dmap = Tape(np.float64).tensor(np.zeros((3, 3)))
+        params = BayesParams(delta=1.0, d_ratio=0.5)
+        with pytest.raises(ShapeError, match="heads"):
+            bayes_loss(dmap, np.array([1.0, 2.0, 3.0]), params)
+        with pytest.raises(NumericError, match="heads"):
+            bayes_loss(dmap, np.array([[np.nan, 1.0]]), params)
+
+    def test_posteriors_called_once_through_the_module(self, monkeypatch):
+        # the benchmark traces the loss's posteriors at this module attribute
+        calls = []
+        inner = bayes.posteriors_from_distances
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "posteriors_from_distances", counting)
+        tape = Tape(np.float64)
+        for heads in (np.array([[1.0, 2.0], [0.5, 0.5]]), np.zeros((0, 2))):
+            bayes_loss(tape.tensor(np.ones((4, 4))), heads, BayesParams(delta=1.0, d_ratio=0.25))
+        assert len(calls) == 2
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

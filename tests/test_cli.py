@@ -303,6 +303,16 @@ class TestMalformedCheckpoint:
         rc, err = infer(bad)
         assert rc == 2 and key in err
 
+    @pytest.mark.parametrize("key,edit", [
+        ("ra_temprature", lambda doc: doc["net"].update(ra_temprature=5.0)),
+        ("momentum", lambda doc: doc.update(momentum=0.5)),
+    ])
+    def test_misspelled_config_key(self, checkpoint, tmp_path, infer, key, edit):
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(), edit))
+        rc, err = infer(bad)
+        assert rc == 2 and key in err
+
     def test_second_backbone(self, checkpoint, tmp_path, infer):
         # a checkpoint from a build that could give pass 2 its own backbone
         def add_bb2(p):

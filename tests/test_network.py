@@ -6,7 +6,7 @@ import pytest
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
 from ranet.bayes import BayesParams
-from ranet.core import GrayImage
+from ranet.core import FormatError, GrayImage
 from ranet import network
 from ranet.network import (
     NetConfig,
@@ -68,6 +68,11 @@ class TestInitParams:
     def test_config_round_trips_as_dict(self):
         cfg = NetConfig(widths=(4, 8), pool_grids=(1, 2), seed=9)
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_config_dict_with_an_unknown_key_is_format_error(self):
+        doc = {**NetConfig().to_dict(), "ra_temprature": 5.0}
+        with pytest.raises(FormatError, match="ra_temprature"):
+            NetConfig.from_dict(doc)
 
 
 class TestPass1:

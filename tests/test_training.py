@@ -365,6 +365,27 @@ class TestPinnedConfigFormat:
         with pytest.raises(FormatError, match=key):
             TrainConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("block,key", [
+        (None, "momentum"),              # no such setting
+        (None, "deltaa"),                # a misspelled flattened BayesParams key
+        ("net", "ra_temprature"),        # a misspelled flattened RAConfig key
+        ("net", "temperature"),          # an RAConfig key without its prefix
+        ("net", "beta1"),                # a retired key in the wrong block
+    ])
+    def test_unknown_key_is_format_error(self, block, key):
+        doc = json.loads(DEFAULT_CONFIG_JSON)
+        (doc[block] if block else doc)[key] = 0.5
+        with pytest.raises(FormatError, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_unknown_key_in_a_legacy_rack_is_format_error(self, tmp_path):
+        doc = json.loads(LEGACY_CONFIG_JSON)
+        doc["net"]["ra_temprature"] = 5.0
+        path = tmp_path / "legacy.rack"
+        path.write_bytes(hand_built_rack(json.dumps(doc), init_params(NetConfig())))
+        with pytest.raises(FormatError, match="ra_temprature"):
+            load_checkpoint(path)
+
     def test_missing_flattened_key_is_format_error(self):
         doc = json.loads(DEFAULT_CONFIG_JSON)
         del doc["net"]["ra_temperature"]
