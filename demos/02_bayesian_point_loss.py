@@ -28,8 +28,8 @@ head = np.array([[0.0, 0.0]])
 field = posteriors_from_distances(pixels, head, delta=1.0, d=1.0)
 print("pixel order (x, y):", [tuple(p) for p in pixels.tolist()])
 print("distance to head:  ", np.hypot(*(pixels - head).T))
-print("head posterior row:", field.head_rows[0])
-print("bg posterior row:  ", field.background_row)
+print("head posterior row:", field.probs[0])
+print("bg posterior row:  ", field.probs[-1])
 print("column sums:       ", field.probs.sum(axis=0))
 
 density = np.zeros((2, 2))

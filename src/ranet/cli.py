@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
     p_infer.add_argument("--pad", action="store_true",
-                         help="reflect-pad sides to a multiple of 8, crop the density back")
+                         help="reflect-pad to the smallest size the checkpoint accepts, "
+                              "crop the density back")
 
     p_ra = sub.add_parser("ra", help="apply the region-aware block to an image pair")
     p_ra.add_argument("--image", required=True)
@@ -146,10 +147,13 @@ def _cmd_infer(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
     img = load_image(args.image)
     h, w = img.height, img.width
-    ph, pw = padded_shape(h, w)
+    ph, pw = padded_shape(h, w, cfg.net)
     if (ph, pw) != (h, w):
         if not args.pad:
-            raise ShapeError(f"image is {h}x{w}; pass --pad to reflect-pad to {ph}x{pw}")
+            raise ShapeError(
+                f"image is {h}x{w}; pass --pad to reflect-pad to {ph}x{pw}, the smallest "
+                f"size holding it that the checkpoint's pooling grids {cfg.net.pool_grids} accept"
+            )
         img = GrayImage(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
     dmap, _ = predict(img, params, cfg.net)
     out_map = DensityMap(dmap.values[:h, :w])

@@ -92,8 +92,6 @@ class PointAnnotations:
 
     def inside(self, height: int, width: int) -> bool:
         """True when every point lies within [0, width) x [0, height)."""
-        if len(self) == 0:
-            return True
         x, y = self.points[:, 0], self.points[:, 1]
         return bool(
             (x >= 0).all() and (x < width).all() and (y >= 0).all() and (y < height).all()

@@ -60,8 +60,6 @@ class EvalReport:
 
 def evaluate_scenes(scenes: list[Scene], params: ModelParams, cfg: NetConfig) -> EvalReport:
     """Predicted count = density sum per image; ground truth = annotation count."""
-    if not scenes:
-        raise ValueError("cannot evaluate an empty split")
     predicted = []
     ground_truth = []
     for scene in scenes:

@@ -139,18 +139,13 @@ def bind(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[st
 # ---------------------------------------------------------------------------
 
 
-def padded_shape(h: int, w: int) -> tuple[int, int]:
-    """The smallest input the network accepts (sides >= 16, multiples of 8) that holds h x w."""
-    return max(-(-h // 8) * 8, 16), max(-(-w // 8) * 8, 16)
-
-
-def _check_input_shape(h: int, w: int) -> None:
-    ph, pw = padded_shape(h, w)
-    if (ph, pw) != (h, w):
-        raise ShapeError(
-            f"input sides must be >= 16 and divisible by 8, got {h}x{w}; "
-            f"reflect-pad to {ph}x{pw} first"
-        )
+def padded_shape(h: int, w: int, cfg: NetConfig) -> tuple[int, int]:
+    """The smallest input the network accepts that holds h x w: sides are
+    multiples of 8, at least 16, and large enough that the context features
+    (stride 8, or less with under four backbone blocks) hold every pooling grid."""
+    stride = 2 ** min(3, len(cfg.widths) - 1)  # _backbone pools after the first three blocks
+    least = max(16, -(-stride * max(cfg.pool_grids, default=1) // 8) * 8)
+    return max(-(-h // 8) * 8, least), max(-(-w // 8) * 8, least)
 
 
 def _conv(x: Tensor, p: dict[str, Tensor], name: str, dilation: int = 1) -> Tensor:
@@ -180,15 +175,9 @@ def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig):
 def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     """Image tensor [1, H, W] -> priority tensor [1, H, W] in [0, 1]."""
     _, h, w = x.shape
-    _check_input_shape(h, w)
     feats = _backbone(x, p, cfg)
     f2, f3, f4, f5 = feats[0], feats[1], feats[-2], feats[-1]
-
     fh, fw = f4.shape[1], f4.shape[2]
-    if any(g > min(fh, fw) for g in cfg.pool_grids):
-        raise ShapeError(
-            f"pooling grids {cfg.pool_grids} exceed the {fh}x{fw} context feature map"
-        )
 
     # multi-grid pooled context on the stride-8 features
     branches = [f4]
@@ -218,7 +207,6 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     pixels wide at this scale.
     """
     _, h, w = x.shape
-    _check_input_shape(h, w)
     feats = _backbone(x, p, cfg)
     f2, f3, f5 = feats[0], feats[1], feats[-1]
 
@@ -235,9 +223,17 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
 def forward(x2d: Tensor, leaves: dict[str, Tensor], cfg: NetConfig) -> tuple[Tensor, Tensor]:
     """The two-pass pipeline on a [H, W] image tensor: pass 1 -> RA block -> pass 2.
 
-    Returns the [H, W] priority and density tensors.
+    Returns the [H, W] priority and density tensors.  ShapeError unless the
+    image is already of a size ``padded_shape`` returns.
     """
     shape = x2d.shape
+    padded = padded_shape(*shape, cfg)
+    if padded != shape:
+        raise ShapeError(
+            f"input is {shape[0]}x{shape[1]}; sides must be multiples of 8, at least 16 and "
+            f"large enough for pooling grids {cfg.pool_grids}: reflect-pad to "
+            f"{padded[0]}x{padded[1]} first"
+        )
     prio2d = ad.reshape(pass1(ad.reshape(x2d, (1,) + shape), leaves, cfg), shape)
     enhanced = ra_apply(x2d, prio2d, cfg.ra)
     density = pass2(ad.reshape(enhanced, (1,) + shape), leaves, cfg)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .core import ConfigDoc, _readonly
+from .core import ConfigDoc
 
 
 @dataclass(frozen=True)
@@ -38,34 +38,6 @@ class RAConfig(ConfigDoc):
     def __post_init__(self):
         if not (self.temperature > 0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class RelevanceMatrix:
-    """Row-stochastic m x m column-affinity weights (inspection wrapper).
-
-    Row i holds the weights of output column i over the input columns;
-    each row sums to 1 and every entry lies in [0, 1]: a saturated softmax
-    rounds entries to exactly 0 or 1.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"relevance matrix must be square, got {w.shape}")
-        tol = 1e-9 if w.dtype == np.float64 else 1e-7
-        sums = w.sum(axis=1)
-        if np.abs(sums - 1.0).max() > tol:
-            raise ValueError("relevance rows must sum to 1")
-        if w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("relevance entries must lie in [0, 1]")
-        object.__setattr__(self, "weights", _readonly(w))
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
 
 
 def similarity(q: Tensor, a: Tensor) -> Tensor:
@@ -101,13 +73,6 @@ def ra_apply(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
     s = similarity(q, a)
     w = relevance(s, cfg)
     return embed(q, w)
-
-
-def relevance_of(image: np.ndarray, priority: np.ndarray, cfg: RAConfig = RAConfig()) -> RelevanceMatrix:
-    """Convenience: the relevance matrix for raw arrays, as an inspection value."""
-    tape = Tape(np.float64)
-    w = relevance(similarity(tape.tensor(image), tape.tensor(priority)), cfg)
-    return RelevanceMatrix(w.data)
 
 
 def enhance(image: np.ndarray, priority: np.ndarray, cfg: RAConfig = RAConfig()) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .bayes import BayesParams
 from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, _fits
-from .network import ModelParams, NetConfig, full_forward, init_params, param_shapes, pass1_param_names
+from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
+                      param_shapes, pass1_param_names)
 
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
@@ -36,21 +37,13 @@ class TrainingError(RuntimeError):
     """Aborted run: non-finite loss or invalid training inputs."""
 
 
-def _training_bayes_default() -> BayesParams:
-    """Training recipe default: a wider Gaussian than the loss module's own
-    default.  At 64x64 toy scale, delta 16 keeps the posterior force field
-    majority-foreground, which is what makes from-scratch training converge
-    instead of collapsing the density to zero (measured, not theorized)."""
-    return BayesParams(delta=16.0, d_ratio=0.1)
-
-
 @dataclass(frozen=True)
 class TrainConfig(ConfigDoc):
     lr: float = 1e-3
     batch_size: int = 8
     crop: int = 64
     epochs: int = 30
-    bayes: BayesParams = field(default_factory=_training_bayes_default, metadata={"prefix": ""})
+    bayes: BayesParams = field(default_factory=BayesParams, metadata={"prefix": ""})
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
 
@@ -59,8 +52,11 @@ class TrainConfig(ConfigDoc):
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.crop < 16 or self.crop % 8:
-            raise ValueError(f"crop must be >= 16 and divisible by 8, got {self.crop}")
+        if padded_shape(self.crop, self.crop, self.net) != (self.crop, self.crop):
+            raise ValueError(
+                f"crop must be a multiple of 8, at least 16 and large enough for pooling "
+                f"grids {self.net.pool_grids}, got {self.crop}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -103,16 +99,13 @@ def random_crop(scene: Scene, size: int, rng: np.random.Generator) -> Scene:
     x0 = int(rng.integers(0, w - size + 1))
     window = scene.image.pixels[y0 : y0 + size, x0 : x0 + size]
     pts = scene.annotations.points
-    if len(pts):
-        keep = (
-            (pts[:, 0] >= x0)
-            & (pts[:, 0] < x0 + size)
-            & (pts[:, 1] >= y0)
-            & (pts[:, 1] < y0 + size)
-        )
-        shifted = pts[keep] - np.array([x0, y0], dtype=np.float64)
-    else:
-        shifted = pts
+    keep = (
+        (pts[:, 0] >= x0)
+        & (pts[:, 0] < x0 + size)
+        & (pts[:, 1] >= y0)
+        & (pts[:, 1] < y0 + size)
+    )
+    shifted = pts[keep] - np.array([x0, y0], dtype=np.float64)
     return Scene(GrayImage(window), PointAnnotations(shifted))
 
 

@@ -57,7 +57,7 @@ class TestPosteriors:
         heads = np.array([[0.0, 0.0]])
         field = posteriors_from_distances(pixels, heads, 1.0, 2.0)
         np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-12)
-        assert field.background_row[0] > 0.999  # far pixel is background
+        assert field.probs[-1, 0] > 0.999  # far pixel is background
 
     def test_zero_heads_background_is_one(self):
         field = posteriors_from_distances(pixel_grid(3, 3), np.zeros((0, 2)), 1.0, 1.0)

@@ -9,7 +9,8 @@ import pytest
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import load_manifest
-from ranet.training import load_checkpoint, save_checkpoint
+from ranet.network import NetConfig, init_params
+from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch", "4", "--crop", "32",
@@ -168,6 +169,19 @@ class TestInfer:
         dmap = load_density(out)
         if dmap.values.max() > 0:
             assert rendered.pixels.max() == 1.0
+
+    @pytest.mark.parametrize("side", [20, 30])
+    def test_pad_reaches_the_size_the_pooling_grids_need(self, side, tmp_path, capsys):
+        # default grids go up to 6, so the stride-8 context map needs a 48-pixel side
+        ckpt = tmp_path / "default.rack"
+        save_checkpoint(init_params(NetConfig()), TrainConfig(), ckpt)
+        image = tmp_path / "small.pgm"
+        save_image(GrayImage(np.random.default_rng(side).uniform(0, 1, size=(side, side))), image)
+        out = tmp_path / "o.radm"
+        rc = main(["infer", "--ckpt", str(ckpt), "--image", str(image), "--out", str(out), "--pad"])
+        assert rc == 0, capsys.readouterr().err
+        dmap = load_density(out)
+        assert (dmap.height, dmap.width) == (side, side)
 
 
 class TestRaCommand:

@@ -22,14 +22,13 @@ from ranet.core import (
     save_density,
     save_image,
 )
-from ranet.region_aware import RelevanceMatrix
 
 
 class TestTypes:
     @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap,
-                                     PosteriorField, RelevanceMatrix])
+                                     PosteriorField])
     def test_caller_array_stays_writable_and_unaliased(self, cls):
-        arr = np.full((2, 2), 0.5)  # valid for every type, rows of a relevance matrix too
+        arr = np.full((2, 2), 0.5)  # valid for every type
         obj = cls(arr)
         stored = getattr(obj, dataclasses.fields(obj)[0].name)
         assert arr.flags.writeable

@@ -13,8 +13,8 @@ from ranet.network import (
     bind,
     full_forward,
     init_params,
-    pass1,
     pass1_param_names,
+    padded_shape,
     predict,
 )
 from ranet.region_aware import ra_apply
@@ -98,19 +98,14 @@ class TestPass1:
 
     def test_indivisible_side_rejected_with_padding_hint(self):
         params = init_params(SMALL)
-        tape = Tape(np.float32)
-        leaves = bind(tape, params, requires_grad=False)
-        x = tape.constant(np.zeros((1, 20, 24)))
         with pytest.raises(ShapeError, match="24x24"):
-            pass1(x, leaves, SMALL)
+            predict(GrayImage(random_image(20, 24)), params, SMALL)
 
     def test_grid_exceeding_feature_map_rejected(self):
         cfg = NetConfig(seed=1)  # grids up to 6, but 16x16 input -> 2x2 features
         params = init_params(cfg)
-        tape = Tape(np.float32)
-        leaves = bind(tape, params, requires_grad=False)
         with pytest.raises(ValueError, match="pooling grids"):
-            pass1(tape.constant(random_image().reshape(1, 16, 16)), leaves, cfg)
+            predict(GrayImage(random_image()), params, cfg)
 
     def test_stride_bookkeeping(self):
         from ranet.network import _backbone
@@ -120,6 +115,44 @@ class TestPass1:
         leaves = bind(tape, params, requires_grad=False)
         feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves, SMALL)
         assert [f.shape[1:] for f in feats] == [(16, 24), (8, 12), (4, 6), (4, 6)]
+
+
+class TestPaddedShape:
+    @pytest.mark.parametrize("h, w, cfg, want", [
+        (20, 20, NetConfig(), (48, 48)),     # 8 x the largest grid, 6
+        (30, 30, NetConfig(), (48, 48)),
+        (44, 52, NetConfig(), (48, 56)),
+        (64, 64, NetConfig(), (64, 64)),
+        (20, 24, SMALL, (24, 24)),           # grids up to 2: sides >= 16, multiples of 8
+        (1, 9, SMALL, (16, 16)),
+        (16, 16, NetConfig(widths=(4, 4), pool_grids=(6,)), (16, 16)),  # stride-2 context
+        (16, 16, NetConfig(widths=(4, 4, 4), pool_grids=(6,)), (24, 24)),  # stride 4
+    ])
+    def test_cases(self, h, w, cfg, want):
+        assert padded_shape(h, w, cfg) == want
+
+    @pytest.mark.parametrize("cfg", [
+        NetConfig(), SMALL, NetConfig(pool_grids=(1, 3)),
+        NetConfig(widths=(4, 4), pool_grids=(6,)), NetConfig(widths=(4, 4, 4), pool_grids=(6,)),
+        NetConfig(widths=(4, 4, 4, 4, 4), pool_grids=(1, 5)),
+    ])
+    def test_is_the_smallest_size_whose_context_map_holds_every_grid(self, cfg):
+        tape = Tape(np.float32)
+        leaves = bind(tape, init_params(cfg), requires_grad=False)
+        side = padded_shape(1, 1, cfg)[0]
+        for s, fits in ((side, True), (side - 8, False)):
+            if s < 16:
+                continue
+            ctx = network._backbone(tape.constant(np.zeros((1, s, s))), leaves, cfg)[-2]
+            assert (min(ctx.shape[1:]) >= max(cfg.pool_grids)) == fits
+
+    def test_forward_accepts_exactly_the_padded_sizes(self):
+        cfg = NetConfig(pool_grids=(1, 3), seed=1)
+        params = init_params(cfg)
+        dmap, _ = predict(GrayImage(random_image(24, 32)), params, cfg)
+        assert (dmap.height, dmap.width) == (24, 32)
+        with pytest.raises(ShapeError, match=r"pooling grids \(1, 3\).*24x24"):
+            predict(GrayImage(random_image(16, 24)), params, cfg)
 
 
 class TestFeedback:

@@ -7,12 +7,10 @@ from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
 from ranet.region_aware import (
     RAConfig,
-    RelevanceMatrix,
     embed,
     enhance,
     ra_apply,
     relevance,
-    relevance_of,
     similarity,
 )
 
@@ -209,24 +207,12 @@ class TestInvariants:
 
 
 class TestRelevanceMatrixType:
-    def test_wraps_valid_weights(self):
-        rm = relevance_of(RNG.uniform(size=(4, 3)), RNG.uniform(size=(4, 3)))
-        assert rm.size == 3
-        np.testing.assert_allclose(rm.weights.sum(axis=1), 1.0, atol=1e-9)
-
     def test_saturated_softmax_accepted(self):
         # column 0 of both inputs is 1: row 0's largest entry rounds to exactly 1
         arr = np.zeros((64, 64))
         arr[:, 0] = 1.0
-        rm = relevance_of(arr, arr)
-        assert rm.weights[0, 0] == 1.0
-        np.testing.assert_allclose(rm.weights.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(rm.weights[1:], 1 / 64, atol=1e-12)
-
-    def test_rejects_non_stochastic(self):
-        with pytest.raises(ValueError):
-            RelevanceMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            RelevanceMatrix(np.full((2, 3), 1 / 3))
+        tape = Tape(np.float64)
+        w = relevance(similarity(tape.tensor(arr), tape.tensor(arr))).data
+        assert w[0, 0] == 1.0
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(w[1:], 1 / 64, atol=1e-12)

@@ -200,6 +200,16 @@ class TestTrainDriver:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(crop=20)
+
+    def test_crop_must_hold_the_pooling_grids(self):
+        # the default grids go up to 6: the stride-8 context map needs a 48-pixel side
+        with pytest.raises(ValueError, match=r"pooling grids \(1, 2, 3, 6\)"):
+            TrainConfig(crop=32)
+        assert TrainConfig(crop=32, net=NetConfig(pool_grids=(1, 2, 3))).crop == 32
+        assert TrainConfig(crop=48).crop == 48
+
+    def test_bayes_defaults_are_the_training_recipe(self):
+        assert BayesParams() == TrainConfig().bayes == BayesParams(delta=16.0, d_ratio=0.1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
