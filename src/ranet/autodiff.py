@@ -391,15 +391,13 @@ def avgpool(x: Tensor, window: int) -> Tensor:
 
 
 def adaptive_avgpool(x: Tensor, grid: int) -> Tensor:
-    """Mean pooling to an explicit grid x grid output; identity when grid = side."""
+    """Mean pooling to a grid x grid output from any input size: bin i of an axis of
+    length n covers [floor(i n / g), ceil((i + 1) n / g)), overlapping when g > n."""
     if x.data.ndim != 3:
         raise ShapeError(f"adaptive_avgpool: input must be [C,H,W], got {x.shape}")
-    _, H, W = x.shape
     g_ = int(grid)
     if g_ < 1:
         raise ValueError(f"adaptive_avgpool: grid must be positive, got {grid}")
-    if g_ > H or g_ > W:
-        raise ValueError(f"adaptive_avgpool: grid {g_} exceeds input {H}x{W}")
     return _pool(x, g_, g_)
 
 

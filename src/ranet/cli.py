@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
     p_infer.add_argument("--pad", action="store_true",
-                         help="reflect-pad to the smallest size the checkpoint accepts, "
+                         help="reflect-pad each side to the next multiple of 8 (at least 16), "
                               "crop the density back")
 
     p_ra = sub.add_parser("ra", help="apply the region-aware block to an image pair")
@@ -111,20 +111,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    # context-pool grids must fit the stride-8 feature map of the crop
-    feature_side = args.crop // 8
-    grids = tuple(g for g in NetConfig.pool_grids if g <= feature_side) or (1,)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
     cfg = TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
         crop=args.crop,
         epochs=args.epochs,
         bayes=BayesParams(delta=args.delta, d_ratio=args.d_ratio),
-        net=NetConfig(
-            pool_grids=grids,
-            ra=RAConfig(temperature=args.ra_temp),
-            seed=args.seed,
-        ),
+        net=NetConfig(ra=RAConfig(temperature=args.ra_temp), seed=args.seed),
         seed=args.seed,
     )
     scenes = load_split(Path(args.data) / "manifest.json", "train")
@@ -147,13 +143,11 @@ def _cmd_infer(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
     img = load_image(args.image)
     h, w = img.height, img.width
-    ph, pw = padded_shape(h, w, cfg.net)
+    ph, pw = padded_shape(h, w)
     if (ph, pw) != (h, w):
         if not args.pad:
-            raise ShapeError(
-                f"image is {h}x{w}; pass --pad to reflect-pad to {ph}x{pw}, the smallest "
-                f"size holding it that the checkpoint's pooling grids {cfg.net.pool_grids} accept"
-            )
+            raise ShapeError(f"image is {h}x{w}; sides must be multiples of 8 and at least 16: "
+                             f"pass --pad to reflect-pad to {ph}x{pw}")
         img = GrayImage(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
     dmap, _ = predict(img, params, cfg.net)
     out_map = DensityMap(dmap.values[:h, :w])

@@ -139,13 +139,9 @@ def bind(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[st
 # ---------------------------------------------------------------------------
 
 
-def padded_shape(h: int, w: int, cfg: NetConfig) -> tuple[int, int]:
-    """The smallest input the network accepts that holds h x w: sides are
-    multiples of 8, at least 16, and large enough that the context features
-    (stride 8, or less with under four backbone blocks) hold every pooling grid."""
-    stride = 2 ** min(3, len(cfg.widths) - 1)  # _backbone pools after the first three blocks
-    least = max(16, -(-stride * max(cfg.pool_grids, default=1) // 8) * 8)
-    return max(-(-h // 8) * 8, least), max(-(-w // 8) * 8, least)
+def padded_shape(h: int, w: int) -> tuple[int, int]:
+    """The smallest input the network accepts that holds h x w: sides multiples of 8, >= 16."""
+    return max(-(-h // 8) * 8, 16), max(-(-w // 8) * 8, 16)
 
 
 def _conv(x: Tensor, p: dict[str, Tensor], name: str, dilation: int = 1) -> Tensor:
@@ -227,13 +223,10 @@ def forward(x2d: Tensor, leaves: dict[str, Tensor], cfg: NetConfig) -> tuple[Ten
     image is already of a size ``padded_shape`` returns.
     """
     shape = x2d.shape
-    padded = padded_shape(*shape, cfg)
+    padded = padded_shape(*shape)
     if padded != shape:
-        raise ShapeError(
-            f"input is {shape[0]}x{shape[1]}; sides must be multiples of 8, at least 16 and "
-            f"large enough for pooling grids {cfg.pool_grids}: reflect-pad to "
-            f"{padded[0]}x{padded[1]} first"
-        )
+        raise ShapeError(f"input is {shape[0]}x{shape[1]}; sides must be multiples of 8 and at "
+                         f"least 16: reflect-pad to {padded[0]}x{padded[1]} first")
     prio2d = ad.reshape(pass1(ad.reshape(x2d, (1,) + shape), leaves, cfg), shape)
     enhanced = ra_apply(x2d, prio2d, cfg.ra)
     density = pass2(ad.reshape(enhanced, (1,) + shape), leaves, cfg)

@@ -52,11 +52,8 @@ class TrainConfig(ConfigDoc):
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if padded_shape(self.crop, self.crop, self.net) != (self.crop, self.crop):
-            raise ValueError(
-                f"crop must be a multiple of 8, at least 16 and large enough for pooling "
-                f"grids {self.net.pool_grids}, got {self.crop}"
-            )
+        if padded_shape(self.crop, self.crop) != (self.crop, self.crop):
+            raise ValueError(f"crop must be a multiple of 8 and at least 16, got {self.crop}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

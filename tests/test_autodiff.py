@@ -218,6 +218,7 @@ class TestPooling:
 
     def test_adaptive_gradient_nondivisible(self):
         assert_op_gradient(lambda t, x: ad.adaptive_avgpool(x, 3), (2, 7, 5))
+        assert_op_gradient(lambda t, x: ad.adaptive_avgpool(x, 6), (2, 4, 3))
 
 
 class TestUpsample:
@@ -315,6 +316,8 @@ class TestSpatialOracles:
         ((3, 5, 5), 5),
         ((2, 6, 4), 1),
         ((1, 8, 8), 3),
+        ((2, 4, 3), 6),  # grid above both sides: overlapping bins
+        ((1, 2, 2), 6),
     ])
     def test_adaptive_avgpool(self, shape, grid):
         x = RNG.normal(size=shape)

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ import pytest
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import load_manifest
-from ranet.network import NetConfig, init_params
-from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
+from ranet.network import predict
+from ranet.training import load_checkpoint, save_checkpoint
+
+# a default-recipe checkpoint (grids up to 6), read only
+INFER256 = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint" / "infer256.rack"
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch", "4", "--crop", "32",
@@ -65,6 +69,20 @@ class TestTrainEval:
         assert rc == 0 and ckpt.exists()
         lines = [ln for ln in out.splitlines() if ln.startswith("epoch=")]
         assert len(lines) == 2 and "mae_train=" in lines[0]
+
+    def test_train_keeps_the_default_pooling_grids_at_a_small_crop(self, checkpoint):
+        # the fixture trains on 32-pixel crops, whose context map is 4x4
+        assert load_checkpoint(checkpoint)[1].net.pool_grids == (1, 2, 3, 6)
+
+    def test_train_out_in_missing_directory_fails_before_training(self, dataset, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "missing" / "m.rack"
+        rc = main(["train", "--data", str(dataset), "--out", str(out), *FAST_TRAIN])
+        captured = capsys.readouterr()
+        assert rc == 2 and "epoch=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+        assert not out.parent.exists()
 
     def test_train_determinism_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a.rack", tmp_path / "b.rack"
@@ -137,14 +155,16 @@ class TestInfer:
         assert rc == 2
         assert "--pad" in capsys.readouterr().err
 
-    def test_image_too_small_for_pool_grids_is_data_error(self, checkpoint, tmp_path, capsys):
-        # the checkpoint's context grids go up to 3; a 16x16 image has 2x2 features
+    @pytest.mark.parametrize("ckpt", ["fixture", "infer256"])
+    def test_image_smaller_than_pool_grids_runs(self, ckpt, checkpoint, tmp_path, capsys):
+        # both checkpoints' context grids go up to 6; a 16x16 image has 2x2 features
         small = tmp_path / "small.pgm"
         save_image(GrayImage(np.full((16, 16), 0.5)), small)
-        rc = main(["infer", "--ckpt", str(checkpoint), "--image", str(small),
-                   "--out", str(tmp_path / "o.radm")])
-        assert rc == 2
-        assert "pooling grids" in capsys.readouterr().err
+        out = tmp_path / "o.radm"
+        rc = main(["infer", "--ckpt", str(checkpoint if ckpt == "fixture" else INFER256),
+                   "--image", str(small), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert load_density(out).values.shape == (16, 16)
 
     def test_pad_crops_density_back(self, checkpoint, tmp_path, capsys):
         odd = tmp_path / "odd.pgm"
@@ -171,17 +191,17 @@ class TestInfer:
             assert rendered.pixels.max() == 1.0
 
     @pytest.mark.parametrize("side", [20, 30])
-    def test_pad_reaches_the_size_the_pooling_grids_need(self, side, tmp_path, capsys):
-        # default grids go up to 6, so the stride-8 context map needs a 48-pixel side
-        ckpt = tmp_path / "default.rack"
-        save_checkpoint(init_params(NetConfig()), TrainConfig(), ckpt)
+    def test_pad_reflects_to_the_next_multiple_of_8(self, side, tmp_path, capsys):
         image = tmp_path / "small.pgm"
         save_image(GrayImage(np.random.default_rng(side).uniform(0, 1, size=(side, side))), image)
         out = tmp_path / "o.radm"
-        rc = main(["infer", "--ckpt", str(ckpt), "--image", str(image), "--out", str(out), "--pad"])
+        rc = main(["infer", "--ckpt", str(INFER256), "--image", str(image), "--out", str(out),
+                   "--pad"])
         assert rc == 0, capsys.readouterr().err
-        dmap = load_density(out)
-        assert (dmap.height, dmap.width) == (side, side)
+        params, cfg = load_checkpoint(INFER256)
+        padded = np.pad(load_image(image).pixels, ((0, -side % 8),) * 2, mode="reflect")
+        want = predict(GrayImage(padded), params, cfg.net)[0].values[:side, :side]
+        np.testing.assert_array_equal(load_density(out).values, want.astype(np.float32))
 
 
 class TestRaCommand:

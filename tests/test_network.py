@@ -101,11 +101,10 @@ class TestPass1:
         with pytest.raises(ShapeError, match="24x24"):
             predict(GrayImage(random_image(20, 24)), params, SMALL)
 
-    def test_grid_exceeding_feature_map_rejected(self):
+    def test_grid_exceeding_feature_map_runs(self):
         cfg = NetConfig(seed=1)  # grids up to 6, but 16x16 input -> 2x2 features
-        params = init_params(cfg)
-        with pytest.raises(ValueError, match="pooling grids"):
-            predict(GrayImage(random_image()), params, cfg)
+        prio = predict(GrayImage(random_image()), init_params(cfg), cfg)[1]
+        assert (prio.height, prio.width) == (16, 16)
 
     def test_stride_bookkeeping(self):
         from ranet.network import _backbone
@@ -118,41 +117,34 @@ class TestPass1:
 
 
 class TestPaddedShape:
-    @pytest.mark.parametrize("h, w, cfg, want", [
-        (20, 20, NetConfig(), (48, 48)),     # 8 x the largest grid, 6
-        (30, 30, NetConfig(), (48, 48)),
-        (44, 52, NetConfig(), (48, 56)),
-        (64, 64, NetConfig(), (64, 64)),
-        (20, 24, SMALL, (24, 24)),           # grids up to 2: sides >= 16, multiples of 8
-        (1, 9, SMALL, (16, 16)),
-        (16, 16, NetConfig(widths=(4, 4), pool_grids=(6,)), (16, 16)),  # stride-2 context
-        (16, 16, NetConfig(widths=(4, 4, 4), pool_grids=(6,)), (24, 24)),  # stride 4
+    @pytest.mark.parametrize("h, w, want", [
+        (20, 20, (24, 24)),
+        (30, 30, (32, 32)),
+        (44, 52, (48, 56)),
+        (64, 64, (64, 64)),
+        (20, 24, (24, 24)),
+        (1, 9, (16, 16)),
+        (16, 16, (16, 16)),
+        (17, 8, (24, 16)),
     ])
-    def test_cases(self, h, w, cfg, want):
-        assert padded_shape(h, w, cfg) == want
+    def test_cases(self, h, w, want):
+        assert padded_shape(h, w) == want
 
-    @pytest.mark.parametrize("cfg", [
-        NetConfig(), SMALL, NetConfig(pool_grids=(1, 3)),
-        NetConfig(widths=(4, 4), pool_grids=(6,)), NetConfig(widths=(4, 4, 4), pool_grids=(6,)),
-        NetConfig(widths=(4, 4, 4, 4, 4), pool_grids=(1, 5)),
-    ])
-    def test_is_the_smallest_size_whose_context_map_holds_every_grid(self, cfg):
-        tape = Tape(np.float32)
-        leaves = bind(tape, init_params(cfg), requires_grad=False)
-        side = padded_shape(1, 1, cfg)[0]
-        for s, fits in ((side, True), (side - 8, False)):
-            if s < 16:
-                continue
-            ctx = network._backbone(tape.constant(np.zeros((1, s, s))), leaves, cfg)[-2]
-            assert (min(ctx.shape[1:]) >= max(cfg.pool_grids)) == fits
+    def test_default_grids_accept_the_smallest_sizes(self):
+        cfg = NetConfig(seed=1)  # grids up to 6 on context maps from 2x2 up
+        params = init_params(cfg)
+        for shape in ((16, 16), (24, 32), (48, 48)):
+            dmap, prio = predict(GrayImage(random_image(*shape)), params, cfg)
+            assert dmap.values.shape == prio.values.shape == shape
 
     def test_forward_accepts_exactly_the_padded_sizes(self):
         cfg = NetConfig(pool_grids=(1, 3), seed=1)
         params = init_params(cfg)
-        dmap, _ = predict(GrayImage(random_image(24, 32)), params, cfg)
-        assert (dmap.height, dmap.width) == (24, 32)
-        with pytest.raises(ShapeError, match=r"pooling grids \(1, 3\).*24x24"):
-            predict(GrayImage(random_image(16, 24)), params, cfg)
+        for shape in ((24, 32), (16, 24)):
+            dmap, _ = predict(GrayImage(random_image(*shape)), params, cfg)
+            assert (dmap.height, dmap.width) == shape
+        with pytest.raises(ShapeError, match=r"multiples of 8 and at least 16.*24x24"):
+            predict(GrayImage(random_image(20, 24)), params, cfg)
 
 
 class TestFeedback:

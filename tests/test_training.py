@@ -201,12 +201,11 @@ class TestTrainDriver:
         with pytest.raises(ValueError):
             TrainConfig(crop=20)
 
-    def test_crop_must_hold_the_pooling_grids(self):
-        # the default grids go up to 6: the stride-8 context map needs a 48-pixel side
-        with pytest.raises(ValueError, match=r"pooling grids \(1, 2, 3, 6\)"):
-            TrainConfig(crop=32)
-        assert TrainConfig(crop=32, net=NetConfig(pool_grids=(1, 2, 3))).crop == 32
-        assert TrainConfig(crop=48).crop == 48
+    def test_crop_need_not_hold_the_pooling_grids(self):
+        # the default grids go up to 6; a 32 crop's 4x4 context map pools into overlapping bins
+        assert TrainConfig(crop=32).net.pool_grids == (1, 2, 3, 6)
+        with pytest.raises(ValueError, match="multiple of 8 and at least 16, got 20"):
+            TrainConfig(crop=20)
 
     def test_bayes_defaults_are_the_training_recipe(self):
         assert BayesParams() == TrainConfig().bayes == BayesParams(delta=16.0, d_ratio=0.1)
