@@ -1,7 +1,8 @@
 """Command-line surface: gen / train / eval / infer / ra.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error (a malformed or
-inconsistent file, a missing file, a wrong image shape, non-finite numbers).
+inconsistent file, a file-system error such as a missing file or a path through
+a file, a wrong image shape, non-finite numbers).
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ import numpy as np
 
 from .autodiff import NumericError, ShapeError
 from .bayes import BayesParams
-from .core import (
-    DensityMap,
-    FormatError,
-    GrayImage,
-    load_image,
-    save_density,
-    save_image,
-)
+from .core import FormatError, GrayImage, load_image, save_density, save_image
 from .datagen import SceneSpec, gen_dataset, load_split
 from .evaluate import evaluate_checkpoint
-from .network import NetConfig, padded_shape, predict
+from .network import NetConfig, predict
 from .region_aware import RAConfig, enhance
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
 
@@ -83,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--image", required=True)
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
-    p_infer.add_argument("--pad", action="store_true",
-                         help="reflect-pad each side to the next multiple of 8 (at least 16), "
-                              "crop the density back")
 
     p_ra = sub.add_parser("ra", help="apply the region-aware block to an image pair")
     p_ra.add_argument("--image", required=True)
@@ -111,9 +102,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out}: is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
     cfg = TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -141,20 +134,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
-    img = load_image(args.image)
-    h, w = img.height, img.width
-    ph, pw = padded_shape(h, w)
-    if (ph, pw) != (h, w):
-        if not args.pad:
-            raise ShapeError(f"image is {h}x{w}; sides must be multiples of 8 and at least 16: "
-                             f"pass --pad to reflect-pad to {ph}x{pw}")
-        img = GrayImage(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
-    dmap, _ = predict(img, params, cfg.net)
-    out_map = DensityMap(dmap.values[:h, :w])
-    save_density(out_map, args.out)
+    dmap, _ = predict(load_image(args.image), params, cfg.net)
+    save_density(dmap, args.out)
     if args.viz:
-        _save_peak_normalized(out_map.values, args.viz)
-    print(f"count={out_map.count:.6f}")
+        _save_peak_normalized(dmap.values, args.viz)
+    print(f"count={dmap.count:.6f}")
     return 0
 
 
@@ -195,8 +179,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, NumericError, ShapeError,
-            TrainingError) as exc:
+    except (FormatError, OSError, NumericError, ShapeError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

@@ -41,8 +41,8 @@ class NetConfig(ConfigDoc):
     density_bias: float = -6.0  # softplus(-6) ~ 2.5e-3/cell: start near count scale
 
     def __post_init__(self):
-        if len(self.widths) < 2:
-            raise ValueError("need at least 2 backbone blocks")
+        if len(self.widths) != 4:
+            raise ValueError(f"need exactly 4 backbone widths, got {len(self.widths)}")
         for name, out_ch, in_ch, _, _ in _conv_spec(self):
             if min(out_ch, in_ch) < 1:
                 raise ValueError(f"layer {name} maps {in_ch} -> {out_ch} channels; both need >= 1")
@@ -155,14 +155,13 @@ def _fuse(p: dict[str, Tensor], name: str, skip: Tensor, *deep: Tensor) -> Tenso
     return ad.relu(_conv(ad.concat_channels(ups + [skip]), p, name))
 
 
-def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig):
-    """Features at strides 2, 4, 8, 8 (pooling after the first three blocks)."""
-    n = len(cfg.widths)
+def _backbone(x: Tensor, p: dict[str, Tensor]) -> list[Tensor]:
+    """Features f2, f3, f4, f5 at strides 2, 4, 8, 8 (pooling after the first three blocks)."""
     feats = []
     h = x
-    for i in range(n):
+    for i in range(4):
         h = ad.relu(_conv(h, p, f"bb.block{i + 1}"))
-        if i < min(3, n - 1):
+        if i < 3:
             h = ad.avgpool(h, 2)
         feats.append(h)
     return feats
@@ -171,8 +170,7 @@ def _backbone(x: Tensor, p: dict[str, Tensor], cfg: NetConfig):
 def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     """Image tensor [1, H, W] -> priority tensor [1, H, W] in [0, 1]."""
     _, h, w = x.shape
-    feats = _backbone(x, p, cfg)
-    f2, f3, f4, f5 = feats[0], feats[1], feats[-2], feats[-1]
+    f2, f3, f4, f5 = _backbone(x, p)
     fh, fw = f4.shape[1], f4.shape[2]
 
     # multi-grid pooled context on the stride-8 features
@@ -195,7 +193,7 @@ def pass1(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     return ad.sigmoid(logits)
 
 
-def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
+def pass2(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Enhanced input [1, H, W] -> non-negative density tensor [1, H, W].
 
     Deep features are brought back to stride 2 through two skip fusions so
@@ -203,8 +201,7 @@ def pass2(x: Tensor, p: dict[str, Tensor], cfg: NetConfig) -> Tensor:
     pixels wide at this scale.
     """
     _, h, w = x.shape
-    feats = _backbone(x, p, cfg)
-    f2, f3, f5 = feats[0], feats[1], feats[-1]
+    f2, f3, _, f5 = _backbone(x, p)
 
     d1 = _fuse(p, "head.fuse1", f3, f5)
     d2 = _fuse(p, "head.fuse2", f2, d1)
@@ -229,7 +226,7 @@ def forward(x2d: Tensor, leaves: dict[str, Tensor], cfg: NetConfig) -> tuple[Ten
                          f"least 16: reflect-pad to {padded[0]}x{padded[1]} first")
     prio2d = ad.reshape(pass1(ad.reshape(x2d, (1,) + shape), leaves, cfg), shape)
     enhanced = ra_apply(x2d, prio2d, cfg.ra)
-    density = pass2(ad.reshape(enhanced, (1,) + shape), leaves, cfg)
+    density = pass2(ad.reshape(enhanced, (1,) + shape), leaves)
     return prio2d, ad.reshape(density, shape)
 
 
@@ -256,11 +253,18 @@ def full_forward(
 def predict(
     img: GrayImage, params: ModelParams, cfg: NetConfig, dtype=np.float32
 ) -> tuple[DensityMap, PriorityMap]:
-    """Inference: both passes without gradients, as float64 value maps."""
+    """Inference on an image of any size, as float64 value maps of that size.
+
+    The image is reflect-padded to ``padded_shape`` for both passes without
+    gradients, and the maps are cropped back.
+    """
+    h, w = img.height, img.width
+    ph, pw = padded_shape(h, w)
     tape = Tape(dtype)
     leaves = bind(tape, params, requires_grad=False)
-    prio2d, density2d = forward(tape.constant(img.pixels), leaves, cfg)
+    x = tape.constant(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
+    prio2d, density2d = forward(x, leaves, cfg)
     return (
-        DensityMap(np.asarray(density2d.data, dtype=np.float64)),
-        PriorityMap(np.clip(np.asarray(prio2d.data, dtype=np.float64), 0.0, 1.0)),
+        DensityMap(np.asarray(density2d.data, dtype=np.float64)[:h, :w]),
+        PriorityMap(np.clip(np.asarray(prio2d.data, dtype=np.float64), 0.0, 1.0)[:h, :w]),
     )

@@ -74,15 +74,19 @@ class TestTrainEval:
         # the fixture trains on 32-pixel crops, whose context map is 4x4
         assert load_checkpoint(checkpoint)[1].net.pool_grids == (1, 2, 3, 6)
 
-    def test_train_out_in_missing_directory_fails_before_training(self, dataset, tmp_path,
-                                                                   capsys):
-        out = tmp_path / "missing" / "m.rack"
+    @pytest.mark.parametrize("out_name, reason", [
+        ("missing/m.rack", "no directory"),
+        ("", "is a directory"),
+    ], ids=["missing", "directory"])
+    def test_train_out_in_missing_directory_fails_before_training(self, out_name, reason,
+                                                                   dataset, tmp_path, capsys):
+        out = tmp_path / out_name
         rc = main(["train", "--data", str(dataset), "--out", str(out), *FAST_TRAIN])
         captured = capsys.readouterr()
         assert rc == 2 and "epoch=" not in captured.out
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
-        assert not out.parent.exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_determinism_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a.rack", tmp_path / "b.rack"
@@ -98,6 +102,16 @@ class TestTrainEval:
         out = capsys.readouterr().out.strip().splitlines()
         assert rc == 0
         assert out[-1].startswith("N=3 MAE=")
+
+    def test_eval_scores_images_of_any_size(self, checkpoint, tmp_path, capsys):
+        # 60 is no multiple of 8: predict pads each image and crops the maps back
+        assert main(["gen", "--out", str(tmp_path), "--seed", "4", "--train", "1",
+                     "--test", "2", "--width", "60", "--height", "60"]) == 0
+        rc = main(["eval", "--ckpt", str(checkpoint), "--data", str(tmp_path),
+                   "--split", "test"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out.strip().splitlines()[-1].startswith("N=2 MAE=")
 
     def test_eval_reproducible_to_all_digits(self, dataset, checkpoint, capsys):
         args = ["eval", "--ckpt", str(checkpoint), "--data", str(dataset),
@@ -145,16 +159,6 @@ class TestInfer:
         capsys.readouterr()
         assert o1.read_bytes() == o2.read_bytes()
 
-    def test_indivisible_image_requires_pad(self, checkpoint, tmp_path, capsys):
-        odd = tmp_path / "odd.pgm"
-        rng = np.random.default_rng(5)
-        save_image(GrayImage(rng.uniform(0, 1, size=(30, 30))), odd)
-        out = tmp_path / "o.radm"
-        rc = main(["infer", "--ckpt", str(checkpoint), "--image", str(odd),
-                   "--out", str(out)])
-        assert rc == 2
-        assert "--pad" in capsys.readouterr().err
-
     @pytest.mark.parametrize("ckpt", ["fixture", "infer256"])
     def test_image_smaller_than_pool_grids_runs(self, ckpt, checkpoint, tmp_path, capsys):
         # both checkpoints' context grids go up to 6; a 16x16 image has 2x2 features
@@ -172,7 +176,7 @@ class TestInfer:
         save_image(GrayImage(rng.uniform(0, 1, size=(30, 26))), odd)
         out = tmp_path / "o.radm"
         rc = main(["infer", "--ckpt", str(checkpoint), "--image", str(odd),
-                   "--out", str(out), "--pad"])
+                   "--out", str(out)])
         assert rc == 0
         dmap = load_density(out)
         assert (dmap.height, dmap.width) == (30, 26)
@@ -195,8 +199,7 @@ class TestInfer:
         image = tmp_path / "small.pgm"
         save_image(GrayImage(np.random.default_rng(side).uniform(0, 1, size=(side, side))), image)
         out = tmp_path / "o.radm"
-        rc = main(["infer", "--ckpt", str(INFER256), "--image", str(image), "--out", str(out),
-                   "--pad"])
+        rc = main(["infer", "--ckpt", str(INFER256), "--image", str(image), "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
         params, cfg = load_checkpoint(INFER256)
         padded = np.pad(load_image(image).pixels, ((0, -side % 8),) * 2, mode="reflect")
@@ -411,6 +414,21 @@ class TestMalformedData:
     def test_manifest_entry_without_paths(self, data, checkpoint, capsys):
         (data / "manifest.json").write_text('{"train": [], "test": [{"image": 3}]}')
         assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    @pytest.mark.parametrize("command", ["gen", "train", "infer"])
+    def test_path_through_a_file_is_one_error_line(self, command, dataset, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = {
+            "gen": ["gen", "--out", str(afile), "--train", "1", "--test", "1"],
+            "train": ["train", "--data", str(afile), "--out", str(tmp_path / "m.rack"),
+                      *FAST_TRAIN],
+            "infer": ["infer", "--ckpt", str(afile / "x.rack"), "--image",
+                      str(dataset / "test" / "scene_0000.pgm"), "--out", str(tmp_path / "d.radm")],
+        }[command]
+        rc = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
 
     def test_empty_split(self, data, checkpoint, tmp_path, capsys):
         manifest = data / "manifest.json"

@@ -51,8 +51,9 @@ class TestInitParams:
             assert np.abs(arr).max() < 10
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NetConfig(widths=(8,))
+        for widths in ((8,), (8, 16, 32), (8, 16, 32, 32, 32)):
+            with pytest.raises(ValueError, match="exactly 4 backbone widths"):
+                NetConfig(widths=widths)
         with pytest.raises(ValueError):
             NetConfig(pool_grids=(0,))
 
@@ -66,7 +67,7 @@ class TestInitParams:
             NetConfig(**kwargs)
 
     def test_config_round_trips_as_dict(self):
-        cfg = NetConfig(widths=(4, 8), pool_grids=(1, 2), seed=9)
+        cfg = NetConfig(widths=(4, 8, 8, 8), pool_grids=(1, 2), seed=9)
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_config_dict_with_an_unknown_key_is_format_error(self):
@@ -99,7 +100,7 @@ class TestPass1:
     def test_indivisible_side_rejected_with_padding_hint(self):
         params = init_params(SMALL)
         with pytest.raises(ShapeError, match="24x24"):
-            predict(GrayImage(random_image(20, 24)), params, SMALL)
+            full_forward(random_image(20, 24), np.zeros((0, 2)), params, SMALL, BAYES)
 
     def test_grid_exceeding_feature_map_runs(self):
         cfg = NetConfig(seed=1)  # grids up to 6, but 16x16 input -> 2x2 features
@@ -112,7 +113,7 @@ class TestPass1:
         params = init_params(SMALL)
         tape = Tape(np.float32)
         leaves = bind(tape, params, requires_grad=False)
-        feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves, SMALL)
+        feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves)
         assert [f.shape[1:] for f in feats] == [(16, 24), (8, 12), (4, 6), (4, 6)]
 
 
@@ -144,7 +145,19 @@ class TestPaddedShape:
             dmap, _ = predict(GrayImage(random_image(*shape)), params, cfg)
             assert (dmap.height, dmap.width) == shape
         with pytest.raises(ShapeError, match=r"multiples of 8 and at least 16.*24x24"):
-            predict(GrayImage(random_image(20, 24)), params, cfg)
+            full_forward(random_image(20, 24), np.zeros((0, 2)), params, cfg, BAYES)
+
+    @pytest.mark.parametrize("shape", [(20, 24), (30, 26)], ids=["20x24", "30x26"])
+    def test_predict_pads_any_size_and_crops_back(self, shape):
+        params = init_params(SMALL)
+        img = random_image(*shape)
+        dmap, prio = predict(GrayImage(img), params, SMALL)
+        assert dmap.values.shape == prio.values.shape == shape
+        (h, w), (ph, pw) = shape, padded_shape(*shape)
+        padded = np.pad(img, ((0, ph - h), (0, pw - w)), mode="reflect")
+        want_d, want_p = predict(GrayImage(padded), params, SMALL)
+        assert dmap.values.tobytes() == want_d.values[:h, :w].tobytes()
+        assert prio.values.tobytes() == want_p.values[:h, :w].tobytes()
 
 
 class TestFeedback:
