@@ -11,11 +11,16 @@ topological order of the graph, so reverse-mode differentiation replays
 the records once, back to front.  No broadcasting: shapes must match
 exactly except where a primitive says otherwise.
 
-Spatial primitives are matrix products: conv2d multiplies the kernel, seen
-as [F, C*kh*kw], by the im2col matrix of the kh*kw shifted windows of the
-zero-padded input; bilinear resampling and both mean pools apply one matrix
-per axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.  Backward
+Spatial primitives are matrix products where that is the work: conv2d
+multiplies the kernel, seen as [F, C*kh*kw], by the im2col matrix of the
+kh*kw shifted windows of the zero-padded input (for a 1x1 kernel, the input
+itself); bilinear resampling and adaptive mean pooling apply one matrix per
+axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.  avgpool adds
+each window's strided slices along W, then along H, scaling by 1/w after
+each axis, and its backward spreads g (1/w)^2 over the window.  Backward
 drops each record once its edges have run, freeing the arrays they saved.
+A tensor's .grad is its own array: the first contribution is copied, so a
+vjp may return its incoming gradient or a view of it.
 
 Two precision modes: float64 tapes for verification (finite-difference
 checks are unreliable at float32) and float32 tapes for training.  All
@@ -101,8 +106,9 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += g
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -292,6 +298,8 @@ def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
 def _im2col(x: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
     """[C,H,W] -> [C*kh*kw, H*W]; row (c, i, j) is channel c's window under tap (i, j)."""
     C, H, W = x.shape
+    if kh == kw == 1:  # the one window is the input itself: no padding, no copy
+        return x.reshape(C, H * W)
     ph, pw = d * (kh // 2), d * (kw // 2)
     xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
     xp[:, ph : ph + H, pw : pw + W] = x
@@ -305,6 +313,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
 def _col2im(cols: np.ndarray, shape, kh: int, kw: int, d: int) -> np.ndarray:
     """Adjoint of _im2col: add each tap's rows back onto the window they came from."""
     C, H, W = shape
+    if kh == kw == 1:
+        return cols.reshape(shape)
     ph, pw = d * (kh // 2), d * (kw // 2)
     cols = cols.reshape(C, kh, kw, H, W)
     xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=cols.dtype)
@@ -369,17 +379,17 @@ def _pool_axis(size: int, grid: int, dtype) -> np.ndarray:
     return m
 
 
-def _pool(x: Tensor, grid_h: int, grid_w: int) -> Tensor:
-    """Mean over the adaptive bins of both axes; shared by avgpool and adaptive_avgpool."""
-    dt = x.tape.dtype
-    return _separable(x, _pool_axis(x.shape[1], grid_h, dt), _pool_axis(x.shape[2], grid_w, dt))
+def _mean_of_runs(runs: np.ndarray, axis: int, scale) -> np.ndarray:
+    """Mean over one short axis: its slices (strided views) added in order, then scaled."""
+    parts = np.moveaxis(runs, axis, 0)
+    return sum(parts[1:], parts[0]) * scale
 
 
 def avgpool(x: Tensor, window: int) -> Tensor:
     """Non-overlapping mean pooling; spatial dims shrink by the window factor."""
     if x.data.ndim != 3:
         raise ShapeError(f"avgpool: input must be [C,H,W], got {x.shape}")
-    _, H, W = x.shape
+    C, H, W = x.shape
     w = int(window)
     if w < 1:
         raise ValueError(f"avgpool: window must be positive, got {window}")
@@ -387,7 +397,10 @@ def avgpool(x: Tensor, window: int) -> Tensor:
         raise ValueError(f"avgpool: window {w} exceeds input {H}x{W}")
     if H % w or W % w:
         raise ValueError(f"avgpool: window {w} must divide input sides {H}x{W}")
-    return _pool(x, H // w, W // w)
+    s = x.tape.dtype.type(1.0 / w)
+    rows = _mean_of_runs(x.data.reshape(C, H, W // w, w), 3, s)
+    y = _mean_of_runs(rows.reshape(C, H // w, w, W // w), 2, s)
+    return _result(y, (x, lambda g: (g * s * s).repeat(w, axis=1).repeat(w, axis=2)))
 
 
 def adaptive_avgpool(x: Tensor, grid: int) -> Tensor:
@@ -398,7 +411,8 @@ def adaptive_avgpool(x: Tensor, grid: int) -> Tensor:
     g_ = int(grid)
     if g_ < 1:
         raise ValueError(f"adaptive_avgpool: grid must be positive, got {grid}")
-    return _pool(x, g_, g_)
+    dt = x.tape.dtype
+    return _separable(x, _pool_axis(x.shape[1], g_, dt), _pool_axis(x.shape[2], g_, dt))
 
 
 def _bilinear_axis(in_size: int, out_size: int, dtype) -> np.ndarray:

@@ -68,13 +68,34 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
 
 
+def _grid_axes(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row's x values and every W-th y value, checked in O(M) to
+    be the axes whose row-major product ``pixels`` is."""
+    if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] == 0:
+        raise ShapeError(f"posteriors: pixels must have shape (M, 2), M >= 1, got {pixels.shape}")
+    x, y = pixels[:, 0], pixels[:, 1]
+    w = int(np.argmax(y != y[0])) or y.size  # the first row ends where y first changes
+    h = y.size // w
+    xs, ys = x[:w], y[::w]
+    if (h * w != y.size
+            or not np.array_equal(x.reshape(h, w), np.broadcast_to(xs, (h, w)))
+            or not np.array_equal(y.reshape(h, w), np.broadcast_to(ys[:, None], (h, w)))):
+        raise ShapeError("posteriors: pixels must be a row-major grid, as pixel_grid returns")
+    return xs, ys
+
+
 def posteriors_from_distances(
     pixels: np.ndarray, heads: np.ndarray, delta: float, d: float
 ) -> PosteriorField:
     """Posteriors computed directly from distances; immune to underflow.
 
-    Every step runs in place in the one (N+1) x M result buffer, operation
-    for operation as in the out-of-place formula that the test oracle
+    ``pixels`` must be a row-major grid: H rows of the same W x values, row i
+    at one y value, as ``pixel_grid`` returns (any spacing or offset).  Any
+    other pixel set raises ShapeError.  The squared distances are then one
+    broadcast add of an [N, W] and an [N, H] array.
+
+    Every step runs in place in the one (N+1) x M result buffer, with the
+    same values as the out-of-place formula that the test oracle
     ``ref_posteriors`` keeps, so the two agree to the last bit.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -83,23 +104,24 @@ def posteriors_from_distances(
         raise ShapeError(f"posteriors: heads must have shape (N, 2), got {heads.shape}")
     if not np.all(np.isfinite(heads)):
         raise NumericError("posteriors: heads contain non-finite coordinates")
+    xs, ys = _grid_axes(pixels)
     n, m = heads.shape[0], pixels.shape[0]
     if n == 0:
         return PosteriorField(np.ones((1, m)))
     out = np.empty((n + 1, m))
     sq = out[:n]
-    np.subtract(heads[:, :1], pixels[:, 0], out=sq)
-    np.square(sq, out=sq)
-    dy = heads[:, 1:] - pixels[:, 1]
-    sq += np.square(dy, out=dy)  # x^2 + y^2, the direct order
-    nearest = np.sqrt(sq.min(axis=0))
+    dx2 = np.square(heads[:, :1] - xs)
+    dy2 = np.square(heads[:, 1:] - ys)
+    np.add(dx2[:, None, :], dy2[:, :, None], out=sq.reshape(n, ys.size, xs.size))  # x^2 + y^2
+    min_sq = sq.min(axis=0)
     inv = 1.0 / (2.0 * delta * delta)
     sq *= -inv  # log foreground likelihoods
     bg = out[n]
-    np.subtract(d, nearest, out=bg)
+    np.subtract(d, np.sqrt(min_sq), out=bg)
     np.square(bg, out=bg)
     bg *= -inv  # log background likelihood
-    out -= out.max(axis=0)
+    # Rounding is monotone, so the largest foreground log is exactly min_sq * -inv.
+    out -= np.maximum(min_sq * -inv, bg)
     np.exp(out, out=out)
     out /= out.sum(axis=0)
     out.flags.writeable = False  # fresh and frozen, so the field wraps it uncopied

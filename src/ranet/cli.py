@@ -101,12 +101,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    out = Path(args.out)
+def _check_out_path(path, flag: str) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    out = Path(path)
     if out.is_dir():
-        raise IsADirectoryError(f"--out {out}: is a directory")
+        raise IsADirectoryError(f"{flag} {out}: is a directory")
     if not out.parent.is_dir():
-        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
+        raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
+
+
+def _cmd_train(args) -> int:
+    _check_out_path(args.out, "--out")
     cfg = TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -133,6 +138,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    _check_out_path(args.out, "--out")
+    if args.viz:
+        _check_out_path(args.viz, "--viz")
     params, cfg = load_checkpoint(args.ckpt)
     dmap, _ = predict(load_image(args.image), params, cfg.net)
     save_density(dmap, args.out)

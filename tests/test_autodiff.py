@@ -212,6 +212,24 @@ class TestPooling:
         out = ad.adaptive_avgpool(tape.tensor(x_arr), 1)
         np.testing.assert_allclose(out.data[:, 0, 0], x_arr.mean(axis=(1, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avgpool_equals_adaptive_matrix_form(self, dtype):
+        # adaptive_avgpool still applies one matrix per axis; at window 2 the
+        # strided sums round exactly as those products do, forward and backward
+        outs, grads = [], []
+        for op in (lambda t: ad.avgpool(t, 2), lambda t: ad.adaptive_avgpool(t, 8)):
+            tape = Tape(dtype)
+            x = tape.tensor(np.random.default_rng(8).normal(size=(3, 16, 16)),
+                            requires_grad=True)
+            out = op(x)
+            g = tape.constant(np.random.default_rng(9).normal(size=(3, 8, 8)))
+            ad.backward(ad.sum_all(ad.mul(out, g)))
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert outs[0].dtype == grads[0].dtype == dtype
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_avgpool_gradient(self):
         assert_op_gradient(lambda t, x: ad.avgpool(x, 2), (2, 6, 6))
         assert_op_gradient(lambda t, x: ad.avgpool(x, 3), (2, 6, 9))
@@ -576,6 +594,26 @@ class TestBackward:
         y = ad.add(ad.mul(x, x), x)  # x^2 + x
         ad.backward(ad.sum_all(y))
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_grads_never_alias(self):
+        # add hands both operands its incoming gradient, reshape a view of it and
+        # concat_channels a slice of it; every .grad must still be its own array
+        tape = Tape(np.float64)
+        x = tape.tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+        y = ad.add(x, x)
+        r = ad.reshape(y, (4, 3, 2))
+        c = ad.concat_channels([r, r])
+        w = RNG.normal(size=(8, 3, 2))
+        ad.backward(ad.sum_all(ad.mul(c, tape.constant(w))))
+        dr = w[:4] + w[4:]
+        np.testing.assert_array_equal(c.grad, w)
+        np.testing.assert_array_equal(r.grad, dr)
+        np.testing.assert_array_equal(y.grad, dr.reshape(2, 3, 4))
+        np.testing.assert_array_equal(x.grad, 2.0 * dr.reshape(2, 3, 4))
+        tensors = (x, y, r, c)
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
 
     def test_determinism(self):
         def run():

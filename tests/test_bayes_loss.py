@@ -74,6 +74,18 @@ class TestPosteriors:
         with pytest.raises(NumericError, match="heads"):
             posteriors_from_distances(pixel_grid(3, 3), np.array([[bad, 1.0]]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("edit", ["shuffled", "dropped", "column_major", "not_n_by_2"])
+    def test_pixels_not_a_row_major_grid_rejected(self, edit):
+        pixels = pixel_grid(4, 5)
+        pixels = {
+            "shuffled": pixels[np.random.default_rng(3).permutation(len(pixels))],
+            "dropped": np.delete(pixels, 7, axis=0),
+            "column_major": pixels[:, ::-1],
+            "not_n_by_2": pixels.ravel(),
+        }[edit]
+        with pytest.raises(ShapeError, match="pixels"):
+            posteriors_from_distances(pixels, np.array([[1.0, 2.0]]), 1.0, 1.0)
+
 
 def _random_heads(n, h, w, rng):
     return np.column_stack([rng.uniform(0, w - 1, size=n), rng.uniform(0, h - 1, size=n)])
@@ -122,6 +134,21 @@ def test_posteriors_peak_memory_near_the_result_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * (n + 1) * side * side * 8
+
+
+def test_posteriors_need_no_n_by_m_temporary():
+    # the grid form builds distances from [N, W] and [N, H] arrays, so besides
+    # the result only a few M-sized rows are live
+    n, side = 90, 128
+    pixels = pixel_grid(side, side)
+    heads = _random_heads(n, side, side, np.random.default_rng(90))
+    tracemalloc.start()
+    try:
+        posteriors_from_distances(pixels, heads, 16.0, 12.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (n + 1) * side * side * 8
 
 
 class TestExpectedCounts:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ranet import cli
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import load_manifest
@@ -193,6 +194,26 @@ class TestInfer:
         dmap = load_density(out)
         if dmap.values.max() > 0:
             assert rendered.pixels.max() == 1.0
+
+    @pytest.mark.parametrize("flag, out_name, reason", [
+        ("--out", "missing/d.radm", "no directory"),
+        ("--out", "", "is a directory"),
+        ("--viz", "missing/v.pgm", "no directory"),
+    ], ids=["out-missing", "out-directory", "viz-missing"])
+    def test_unwritable_output_fails_before_predict(self, flag, out_name, reason, dataset,
+                                                    checkpoint, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "predict", lambda *a, **k: calls.append(a) or predict(*a, **k))
+        paths = {"--out": tmp_path / "d.radm", "--viz": tmp_path / "v.pgm"}
+        paths[flag] = tmp_path / out_name
+        rc = main(["infer", "--ckpt", str(checkpoint),
+                   "--image", str(dataset / "test" / "scene_0000.pgm"),
+                   "--out", str(paths["--out"]), "--viz", str(paths["--viz"])])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 2 and captured.out == "" and calls == []
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} ") and reason in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("side", [20, 30])
     def test_pad_reflects_to_the_next_multiple_of_8(self, side, tmp_path, capsys):
