@@ -16,25 +16,25 @@ from ranet.bayes import (
     bayes_loss,
     expected_counts,
     margin_pixels,
-    pixel_grid,
     posteriors_from_distances,
 )
 
 np.set_printoptions(precision=5, suppress=True)
 
 # Tiny worked example: 2x2 grid, one head at the origin, delta = d = 1.
-pixels = pixel_grid(2, 2)
+# Columns are the grid's pixels in row-major order: column j is (j % 2, j // 2).
 head = np.array([[0.0, 0.0]])
-field = posteriors_from_distances(pixels, head, delta=1.0, d=1.0)
-print("pixel order (x, y):", [tuple(p) for p in pixels.tolist()])
-print("distance to head:  ", np.hypot(*(pixels - head).T))
-print("head posterior row:", field.probs[0])
-print("bg posterior row:  ", field.probs[-1])
-print("column sums:       ", field.probs.sum(axis=0))
+probs = posteriors_from_distances(2, 2, head, delta=1.0, d=1.0)
+ys, xs = np.divmod(np.arange(4.0), 2)
+print("pixel order (x, y):", list(zip(xs.tolist(), ys.tolist())))
+print("distance to head:  ", np.hypot(xs - head[0, 0], ys - head[0, 1]))
+print("head posterior row:", probs[0])
+print("bg posterior row:  ", probs[-1])
+print("column sums:       ", probs.sum(axis=0))
 
 density = np.zeros((2, 2))
 density[0, 0] = 1.0
-per_head, bg_count = expected_counts(field, density)
+per_head, bg_count = expected_counts(probs, density)
 print(f"expected head count {per_head[0]:.5f}, background count {bg_count:.5f}")
 
 tape = Tape(np.float64)
@@ -51,8 +51,7 @@ print()
 h = w = 24
 heads = np.array([[6.0, 6.0], [17.0, 14.0], [9.0, 18.0]])
 params = BayesParams(delta=3.0, d_ratio=0.25)
-field = posteriors_from_distances(pixel_grid(h, w), heads,
-                                  params.delta, margin_pixels(params, h, w))
+probs = posteriors_from_distances(h, w, heads, params.delta, margin_pixels(params, h, w))
 tape = Tape(np.float64)
 dmap = tape.tensor(np.full((h, w), 0.01), requires_grad=True)
 ad.backward(bayes_loss(dmap, heads, params))
@@ -66,6 +65,6 @@ print(f"  far corner (23,23)  -> force {force[23, 23]:+.3f}")
 # Count conservation: posterior columns are distributions, so expected
 # counts always split the total mass exactly.
 density = np.random.default_rng(3).uniform(0, 0.2, size=(h, w))
-per_head, bg_count = expected_counts(field, density)
+per_head, bg_count = expected_counts(probs, density)
 print(f"sum of expected counts {per_head.sum() + bg_count:.9f}"
       f" == total mass {density.sum():.9f}")

@@ -9,7 +9,7 @@ a deterministic scene generator (datagen), the training harness
 """
 
 from .autodiff import GraphError, NumericError, ShapeError, Tape, Tensor
-from .bayes import BayesParams, PosteriorField, bayes_loss
+from .bayes import BayesParams, bayes_loss
 from .core import (
     DensityMap,
     FormatError,

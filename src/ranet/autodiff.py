@@ -164,7 +164,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
     mask = x.data > 0  # subgradient at exactly 0 is 0
-    return _result(np.where(mask, x.data, 0), (x, lambda g: g * mask))
+    # on the tie at x = -0.0 maximum may return -0.0; + 0 makes every zero +0.0
+    return _result(np.maximum(x.data, 0) + 0, (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:

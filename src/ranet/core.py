@@ -162,7 +162,16 @@ class ConfigDoc:
     Tuples are stored as lists and a nested config as a nested dict, unless
     its field carries ``metadata={"prefix": p}``: then its fields are stored
     flattened into the parent, each key prefixed with ``p``.
+
+    Every float field must be finite: a subclass's ``__post_init__`` calls
+    this one first, so no config holds a value its own document refuses.
     """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def to_dict(self) -> dict:
         doc = {}

@@ -41,6 +41,7 @@ class NetConfig(ConfigDoc):
     density_bias: float = -6.0  # softplus(-6) ~ 2.5e-3/cell: start near count scale
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.widths) != 4:
             raise ValueError(f"need exactly 4 backbone widths, got {len(self.widths)}")
         for name, out_ch, in_ch, _, _ in _conv_spec(self):

@@ -36,6 +36,7 @@ class RAConfig(ConfigDoc):
     temperature: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.temperature > 0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 

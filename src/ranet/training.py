@@ -48,6 +48,7 @@ class TrainConfig(ConfigDoc):
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.batch_size < 1:

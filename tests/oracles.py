@@ -132,6 +132,12 @@ def bf_bayes(density: np.ndarray, heads, delta: float, d: float):
     return post, np.array(counts[:-1]), counts[-1], loss
 
 
+def pixel_list(height: int, width: int) -> np.ndarray:
+    """Pixel locations (x, y) of a height x width grid in row-major order, (H*W, 2)."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+
+
 def ref_posteriors(pixels: np.ndarray, heads: np.ndarray, delta: float, d: float) -> np.ndarray:
     """The log-space posterior matrix (N+1) x M, written out of place.
 

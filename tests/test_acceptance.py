@@ -12,7 +12,7 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import Tape
-from ranet.bayes import BayesParams, bayes_loss, expected_counts, posteriors_from_distances, pixel_grid
+from ranet.bayes import BayesParams, bayes_loss, expected_counts, posteriors_from_distances
 from ranet.cli import main
 from ranet.core import (
     DensityMap,
@@ -153,10 +153,10 @@ class TestCriterion5:
             )
             delta = float(RNG.uniform(0.5, 10.0))
             d = float(RNG.uniform(0.5, 10.0))
-            field = posteriors_from_distances(pixel_grid(h, w), heads, delta, d)
-            worst_col = max(worst_col, np.abs(field.probs.sum(axis=0) - 1.0).max())
+            probs = posteriors_from_distances(h, w, heads, delta, d)
+            worst_col = max(worst_col, np.abs(probs.sum(axis=0) - 1.0).max())
             density = RNG.uniform(0, 1, size=(h, w))
-            per_head, bg = expected_counts(field, density)
+            per_head, bg = expected_counts(probs, density)
             total = density.sum()
             worst_cons = max(worst_cons, abs(per_head.sum() + bg - total) / total)
         elapsed = time.perf_counter() - t0

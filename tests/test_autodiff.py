@@ -398,9 +398,11 @@ class TestConcatSlice:
 
 class TestElementwise:
     def test_relu_values(self):
-        tape = Tape()
-        out = ad.relu(tape.tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        for dtype in (np.float32, np.float64):
+            out = ad.relu(Tape(dtype).tensor([-1.0, -0.0, 0.0, 2.0, -3.5]))
+            np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 2.0, 0.0])
+            assert out.data.dtype == dtype
+            assert not np.signbit(out.data[out.data == 0]).any()  # every zero is +0.0
 
     def test_sigmoid_at_zero(self):
         tape = Tape()

@@ -13,78 +13,65 @@ from ranet.bayes import (
     bayes_loss,
     expected_counts,
     margin_pixels,
-    pixel_grid,
     posteriors_from_distances,
 )
 
-from oracles import bf_bayes, check_gradient, ref_posteriors
+from oracles import bf_bayes, check_gradient, pixel_list, ref_posteriors
 
 RNG = np.random.default_rng(57)
 
 
 class TestPosteriors:
     def test_columns_sum_to_one(self):
-        pixels = pixel_grid(5, 4)
         heads = RNG.uniform(0, 5, size=(3, 2))
-        field = posteriors_from_distances(pixels, heads, 1.5, 2.0)
-        np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-9)
+        probs = posteriors_from_distances(5, 4, heads, 1.5, 2.0)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-9)
 
     def test_symmetric_fifty_fifty(self):
-        # 1 pixel from the head with d = 2: the head and background exponents agree
-        pixel, head = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
-        field = posteriors_from_distances(pixel, head, 1.0, 2.0)
-        np.testing.assert_allclose(field.probs, [[0.5], [0.5]], atol=1e-12)
+        # the one pixel is 1 from the head with d = 2: the head and background exponents agree
+        probs = posteriors_from_distances(1, 1, np.array([[-1.0, 0.0]]), 1.0, 2.0)
+        np.testing.assert_allclose(probs, [[0.5], [0.5]], atol=1e-12)
 
     def test_worked_example_2x2(self):
-        pixels = pixel_grid(2, 2)
         heads = np.array([[0.0, 0.0]])
-        field = posteriors_from_distances(pixels, heads, 1.0, 1.0)
+        probs = posteriors_from_distances(2, 2, heads, 1.0, 1.0)
         # pixel order is row-major: (0,0), (1,0), (0,1), (1,1) as (x, y)
-        head_row = field.probs[0]
+        head_row = probs[0]
         assert head_row[0] == pytest.approx(0.62246, abs=1e-4)
         assert head_row[1] == pytest.approx(0.37754, abs=1e-4)
         assert head_row[3] == pytest.approx(0.28615, abs=1e-4)
 
     def test_matches_brute_force(self):
         heads = [(0.7, 1.1), (3.2, 2.9)]
-        field = posteriors_from_distances(pixel_grid(4, 5), np.array(heads), 1.2, 1.8)
+        probs = posteriors_from_distances(4, 5, np.array(heads), 1.2, 1.8)
         expect, _, _, _ = bf_bayes(np.zeros((4, 5)), heads, 1.2, 1.8)
-        np.testing.assert_allclose(field.probs, expect, atol=1e-10)
+        np.testing.assert_allclose(probs, expect, atol=1e-10)
 
     def test_log_space_survives_huge_distances(self):
         # direct exponentials underflow at distance ~300 with delta 1
-        pixels = np.array([[300.0, 0.0]])
-        heads = np.array([[0.0, 0.0]])
-        field = posteriors_from_distances(pixels, heads, 1.0, 2.0)
-        np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-12)
-        assert field.probs[-1, 0] > 0.999  # far pixel is background
+        probs = posteriors_from_distances(1, 1, np.array([[-300.0, 0.0]]), 1.0, 2.0)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+        assert probs[-1, 0] > 0.999  # far pixel is background
 
     def test_zero_heads_background_is_one(self):
-        field = posteriors_from_distances(pixel_grid(3, 3), np.zeros((0, 2)), 1.0, 1.0)
-        np.testing.assert_array_equal(field.probs, np.ones((1, 9)))
+        probs = posteriors_from_distances(3, 3, np.zeros((0, 2)), 1.0, 1.0)
+        np.testing.assert_array_equal(probs, np.ones((1, 9)))
 
     @pytest.mark.parametrize("heads", [np.array([1.0, 2.0, 3.0]), np.zeros((2, 3)),
                                        np.zeros((1, 2, 2)), np.zeros(0)])
     def test_heads_not_n_by_2_rejected(self, heads):
         with pytest.raises(ShapeError, match="heads"):
-            posteriors_from_distances(pixel_grid(3, 3), heads, 1.0, 1.0)
+            posteriors_from_distances(3, 3, heads, 1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_heads_rejected(self, bad):
         with pytest.raises(NumericError, match="heads"):
-            posteriors_from_distances(pixel_grid(3, 3), np.array([[bad, 1.0]]), 1.0, 1.0)
+            posteriors_from_distances(3, 3, np.array([[bad, 1.0]]), 1.0, 1.0)
 
-    @pytest.mark.parametrize("edit", ["shuffled", "dropped", "column_major", "not_n_by_2"])
-    def test_pixels_not_a_row_major_grid_rejected(self, edit):
-        pixels = pixel_grid(4, 5)
-        pixels = {
-            "shuffled": pixels[np.random.default_rng(3).permutation(len(pixels))],
-            "dropped": np.delete(pixels, 7, axis=0),
-            "column_major": pixels[:, ::-1],
-            "not_n_by_2": pixels.ravel(),
-        }[edit]
-        with pytest.raises(ShapeError, match="pixels"):
-            posteriors_from_distances(pixels, np.array([[1.0, 2.0]]), 1.0, 1.0)
+    @pytest.mark.parametrize("height, width", [(0, 3), (3, 0)], ids=["height0", "width0"])
+    def test_empty_grid_rejected(self, height, width):
+        with pytest.raises(ShapeError, match="grid"):
+            posteriors_from_distances(height, width, np.array([[1.0, 2.0]]), 1.0, 1.0)
 
 
 def _random_heads(n, h, w, rng):
@@ -94,42 +81,36 @@ def _random_heads(n, h, w, rng):
 class TestPosteriorBits:
     """The in-place posteriors equal the out-of-place formula byte for byte."""
 
-    def assert_same_bits(self, pixels, heads, delta, d):
-        got = posteriors_from_distances(pixels, heads, delta, d).probs
-        assert np.array_equal(got, ref_posteriors(pixels, heads, delta, d))
+    def assert_same_bits(self, h, w, heads, delta, d):
+        got = posteriors_from_distances(h, w, heads, delta, d)
+        assert np.array_equal(got, ref_posteriors(pixel_list(h, w), heads, delta, d))
 
     def test_criterion_5_ranges(self):
         rng = np.random.default_rng(5)
         for _ in range(60):
             h, w = int(rng.integers(2, 33)), int(rng.integers(2, 33))
             heads = _random_heads(int(rng.integers(1, 51)), h, w, rng)
-            self.assert_same_bits(pixel_grid(h, w), heads, float(rng.uniform(0.5, 9.0)),
+            self.assert_same_bits(h, w, heads, float(rng.uniform(0.5, 9.0)),
                                   float(rng.uniform(0.5, 8.0)))
 
     @pytest.mark.parametrize("n", [60, 120])
     @pytest.mark.parametrize("delta", [2.0, 16.0])
     def test_dense_crop(self, n, delta):
         rng = np.random.default_rng(n)
-        self.assert_same_bits(pixel_grid(128, 128), _random_heads(n, 128, 128, rng), delta, 12.8)
+        self.assert_same_bits(128, 128, _random_heads(n, 128, 128, rng), delta, 12.8)
 
     def test_fractional_heads(self):
         heads = np.array([[0.5, 0.25], [3.125, 7.75], [6.999, 0.001], [2.0, 2.0]])
-        self.assert_same_bits(pixel_grid(8, 8), heads, 1.3, 1.7)
-
-    def test_pixels_off_the_integer_grid(self):
-        rng = np.random.default_rng(11)
-        pixels = pixel_grid(24, 20) + np.array([0.37, -0.61])
-        self.assert_same_bits(pixels, _random_heads(9, 24, 20, rng) + 13.5, 3.0, 2.4)
+        self.assert_same_bits(8, 8, heads, 1.3, 1.7)
 
 
 def test_posteriors_peak_memory_near_the_result_size():
     # one result buffer plus one N x M temporary; the out-of-place formula peaks near 5x
     n, side = 90, 128
-    pixels = pixel_grid(side, side)
     heads = _random_heads(n, side, side, np.random.default_rng(90))
     tracemalloc.start()
     try:
-        posteriors_from_distances(pixels, heads, 16.0, 12.8)
+        posteriors_from_distances(side, side, heads, 16.0, 12.8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -140,11 +121,10 @@ def test_posteriors_need_no_n_by_m_temporary():
     # the grid form builds distances from [N, W] and [N, H] arrays, so besides
     # the result only a few M-sized rows are live
     n, side = 90, 128
-    pixels = pixel_grid(side, side)
     heads = _random_heads(n, side, side, np.random.default_rng(90))
     tracemalloc.start()
     try:
-        posteriors_from_distances(pixels, heads, 16.0, 12.8)
+        posteriors_from_distances(side, side, heads, 16.0, 12.8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -153,8 +133,8 @@ def test_posteriors_need_no_n_by_m_temporary():
 
 class TestExpectedCounts:
     def test_zero_density(self):
-        field = posteriors_from_distances(pixel_grid(3, 3), np.array([[1.0, 1.0]]), 1.0, 1.0)
-        per_head, bg = expected_counts(field, np.zeros((3, 3)))
+        probs = posteriors_from_distances(3, 3, np.array([[1.0, 1.0]]), 1.0, 1.0)
+        per_head, bg = expected_counts(probs, np.zeros((3, 3)))
         assert per_head[0] == 0.0 and bg == 0.0
 
     def test_count_conservation(self):
@@ -162,23 +142,23 @@ class TestExpectedCounts:
             h, w = int(RNG.integers(2, 9)), int(RNG.integers(2, 9))
             heads = RNG.uniform(0, min(h, w), size=(int(RNG.integers(1, 6)), 2))
             density = RNG.uniform(0, 2, size=(h, w))
-            field = posteriors_from_distances(pixel_grid(h, w), heads, 1.5, 1.0)
-            per_head, bg = expected_counts(field, density)
+            probs = posteriors_from_distances(h, w, heads, 1.5, 1.0)
+            per_head, bg = expected_counts(probs, density)
             total = per_head.sum() + bg
             assert total == pytest.approx(density.sum(), rel=1e-9)
 
     def test_worked_example_counts(self):
         density = np.zeros((2, 2))
         density[0, 0] = 1.0
-        field = posteriors_from_distances(pixel_grid(2, 2), np.array([[0.0, 0.0]]), 1.0, 1.0)
-        per_head, bg = expected_counts(field, density)
+        probs = posteriors_from_distances(2, 2, np.array([[0.0, 0.0]]), 1.0, 1.0)
+        per_head, bg = expected_counts(probs, density)
         assert per_head[0] == pytest.approx(0.62246, abs=1e-4)
         assert bg == pytest.approx(0.37754, abs=1e-4)
 
     def test_shape_mismatch(self):
-        field = posteriors_from_distances(pixel_grid(2, 2), np.array([[0.0, 0.0]]), 1.0, 1.0)
+        probs = posteriors_from_distances(2, 2, np.array([[0.0, 0.0]]), 1.0, 1.0)
         with pytest.raises(ShapeError):
-            expected_counts(field, np.zeros((3, 3)))
+            expected_counts(probs, np.zeros((3, 3)))
 
 
 class TestBayesLoss:
@@ -226,11 +206,11 @@ class TestBayesLoss:
         # build a density whose expected counts are exactly [1, 0]: all mass
         # at the head pixel scaled by 1/posterior
         heads = np.array([[1.0, 1.0]])
-        field = posteriors_from_distances(pixel_grid(4, 4), heads, 1.0, 1.0)
+        probs = posteriors_from_distances(4, 4, heads, 1.0, 1.0)
         density = np.zeros(16)
         idx = 1 * 4 + 1
-        density[idx] = 1.0 / field.probs[0, idx]
-        bg_count = field.probs[1, idx] * density[idx]
+        density[idx] = 1.0 / probs[0, idx]
+        bg_count = probs[1, idx] * density[idx]
         tape = Tape(np.float64)
         loss = bayes_loss(
             tape.tensor(density.reshape(4, 4)), heads, BayesParams(delta=1.0, d_ratio=0.25)
@@ -238,20 +218,21 @@ class TestBayesLoss:
         assert float(loss.data) == pytest.approx(bg_count, rel=1e-9)  # only bg term left
 
     def test_translation_invariance(self):
+        # heads shifted by whole pixels on a larger grid give the same
+        # posteriors, and so the same counts, on the sub-window the shift
+        # carries the 5x5 grid to
         heads = RNG.uniform(1, 3, size=(3, 2))
         density = RNG.uniform(0, 1, size=(5, 5))
-        params = BayesParams(delta=1.3, d_ratio=0.2)
-        # shifting heads and the pixel grid together must not change the loss
-        grid = pixel_grid(5, 5)
-        d = margin_pixels(params, 5, 5)
-        for shift in ((0.0, 0.0), (13.5, -2.25)):
-            f = posteriors_from_distances(grid + np.array(shift), heads + np.array(shift),
-                                          params.delta, d)
-            per_head, bg = expected_counts(f, density)
-            loss = np.abs(1 - per_head).sum() + abs(bg)
-            if shift == (0.0, 0.0):
-                base = loss
-        assert loss == pytest.approx(base, abs=1e-10)
+        delta, d = 1.3, 1.0
+        base = posteriors_from_distances(5, 5, heads, delta, d)
+        (sx, sy), (h, w) = (7, 3), (12, 14)
+        moved = posteriors_from_distances(h, w, heads + [sx, sy], delta, d)
+        window = moved.reshape(4, h, w)[:, sy:sy + 5, sx:sx + 5]
+        np.testing.assert_allclose(window.reshape(4, 25), base, rtol=0, atol=1e-12)
+        padded = np.zeros((h, w))
+        padded[sy:sy + 5, sx:sx + 5] = density
+        for got, want in zip(expected_counts(moved, padded), expected_counts(base, density)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         for _ in range(10):
@@ -322,8 +303,8 @@ class TestPosteriorInvariantsAtScale:
             )
             delta = float(RNG.uniform(0.5, 9.0))
             d = float(RNG.uniform(0.5, 8.0))
-            field = posteriors_from_distances(pixel_grid(h, w), heads, delta, d)
-            np.testing.assert_allclose(field.probs.sum(axis=0), 1.0, atol=1e-9)
+            probs = posteriors_from_distances(h, w, heads, delta, d)
+            np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-9)
             density = RNG.uniform(0, 0.5, size=(h, w))
-            per_head, bg = expected_counts(field, density)
+            per_head, bg = expected_counts(probs, density)
             assert per_head.sum() + bg == pytest.approx(density.sum(), rel=1e-6)

@@ -89,6 +89,20 @@ class TestTrainEval:
         assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "inf"), ("--lr", "nan"), ("--delta", "inf"), ("--ra-temp", "inf"),
+    ], ids=["lr-inf", "lr-nan", "delta-inf", "ra-temp-inf"])
+    def test_non_finite_setting_fails_before_training(self, flag, value, dataset, tmp_path,
+                                                      capsys):
+        # such a checkpoint could never be loaded: its config block refuses the value
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
+                   *FAST_TRAIN, flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1 and "epoch=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and "finite" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_determinism_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a.rack", tmp_path / "b.rack"
         args = ["train", "--data", str(dataset), "--seed", "9", "--single-thread",
@@ -274,6 +288,15 @@ class TestRaCommand:
         hi = quantized.max(axis=1, keepdims=True) + 1.0 / 255.0
         assert (out.pixels >= lo).all() and (out.pixels <= hi).all()
         assert diff_path.exists()
+
+    def test_non_finite_temperature_is_usage_error(self, tmp_path, capsys):
+        img = tmp_path / "q.pgm"
+        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+        rc = main(["ra", "--image", str(img), "--priority", str(img),
+                   "--out", str(tmp_path / "o.pgm"), "--temp", "inf"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1 and err[0].startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == [img]
 
     def test_shape_mismatch_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ranet.bayes import PosteriorField
+from ranet.bayes import posteriors_from_distances
 from ranet.core import (
     DensityMap,
     FormatError,
@@ -25,8 +25,7 @@ from ranet.core import (
 
 
 class TestTypes:
-    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap,
-                                     PosteriorField])
+    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap])
     def test_caller_array_stays_writable_and_unaliased(self, cls):
         arr = np.full((2, 2), 0.5)  # valid for every type
         obj = cls(arr)
@@ -35,6 +34,13 @@ class TestTypes:
         assert not stored.flags.writeable
         arr[0, 0] = 0.25
         assert stored[0, 0] == 0.5
+
+    @pytest.mark.parametrize("n_heads", [0, 2])
+    def test_posteriors_are_read_only(self, n_heads):
+        probs = posteriors_from_distances(2, 3, np.ones((n_heads, 2)), 1.0, 1.0)
+        assert probs.shape == (n_heads + 1, 6) and not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0, 0] = 0.5
 
     def test_image_rejects_out_of_range(self):
         with pytest.raises(ValueError):
