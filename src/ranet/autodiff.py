@@ -14,13 +14,17 @@ exactly except where a primitive says otherwise.
 Spatial primitives are matrix products where that is the work: conv2d
 multiplies the kernel, seen as [F, C*kh*kw], by the im2col matrix of the
 kh*kw shifted windows of the zero-padded input (for a 1x1 kernel, the input
-itself); bilinear resampling and adaptive mean pooling apply one matrix per
-axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.  avgpool adds
-each window's strided slices along W, then along H, scaling by 1/w after
-each axis, and its backward spreads g (1/w)^2 over the window.  Backward
-drops each record once its edges have run, freeing the arrays they saved.
-A tensor's .grad is its own array: the first contribution is copied, so a
-vjp may return its incoming gradient or a view of it.
+itself).  The kernel gradient is g times that matrix transposed.  The input
+gradient is the same-size convolution of g by the kernel flipped in both
+spatial axes with F and C swapped, at the same dilation (exact because the
+sides are odd and the padding symmetric), so one im2col lowering serves all
+three products.  Bilinear resampling and adaptive mean pooling apply one
+matrix per axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.
+avgpool adds each window's strided slices along W, then along H, scaling
+by 1/w after each axis, and its backward spreads g (1/w)^2 over the window.
+Backward drops each record once its edges have run, freeing the arrays
+they saved.  A tensor's .grad is its own array: the first contribution is
+copied, so a vjp may return its incoming gradient or a view of it.
 
 Two precision modes: float64 tapes for verification (finite-difference
 checks are unreliable at float32) and float32 tapes for training.  All
@@ -164,8 +168,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
     mask = x.data > 0  # subgradient at exactly 0 is 0
-    # on the tie at x = -0.0 maximum may return -0.0; + 0 makes every zero +0.0
-    return _result(np.maximum(x.data, 0) + 0, (x, lambda g: g * mask))
+    return _result(np.maximum(x.data, 0), (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -311,20 +314,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
     return cols.reshape(C * kh * kw, H * W)
 
 
-def _col2im(cols: np.ndarray, shape, kh: int, kw: int, d: int) -> np.ndarray:
-    """Adjoint of _im2col: add each tap's rows back onto the window they came from."""
-    C, H, W = shape
-    if kh == kw == 1:
-        return cols.reshape(shape)
-    ph, pw = d * (kh // 2), d * (kw // 2)
-    cols = cols.reshape(C, kh, kw, H, W)
-    xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i * d : i * d + H, j * d : j * d + W] += cols[:, i, j]
-    return xp[:, ph : ph + H, pw : pw + W]
-
-
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
     """Dilated same-size cross-correlation: [C,H,W] * [F,C,kh,kw] -> [F,H,W].
 
@@ -352,10 +341,12 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     out = kmat @ cols
     if bias is not None:
         out += bias.data[:, None]
-    edges = [
-        (k, lambda g: (g.reshape(F, H * W) @ cols.T).reshape(k.shape)),
-        (x, lambda g: _col2im(kmat.T @ g.reshape(F, H * W), x.shape, kh, kw, d)),
-    ]
+
+    def vjp_x(g):
+        kadj = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, F * kh * kw)
+        return (kadj @ _im2col(g, kh, kw, d)).reshape(x.shape)
+
+    edges = [(k, lambda g: (g.reshape(F, H * W) @ cols.T).reshape(k.shape)), (x, vjp_x)]
     if bias is not None:
         edges.append((bias, lambda g: g.reshape(F, H * W).sum(axis=1)))
     return _result(out.reshape(F, H, W), *edges)

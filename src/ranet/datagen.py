@@ -132,6 +132,8 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
     Test scenes use indices n_train .. n_train + n_test - 1, so the same
     spec always produces the same bytes for every file.
     """
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"scene counts must be >= 0, got {n_train} train / {n_test} test")
     out = Path(out_dir)
     h, w = spec.height, spec.width
     manifest = {"train": [], "test": []}

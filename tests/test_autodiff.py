@@ -295,6 +295,7 @@ class TestSpatialOracles:
         ((2, 3, 2), (2, 3, 3), 4),  # dilation >= side: off-centre taps read only padding
         ((1, 1, 1), (2, 3, 3), 2),
         ((2, 4, 6), (3, 1, 3), 2),
+        ((2, 6, 7), (3, 5, 3), 2),  # unequal sides: the adjoint flips both axes
     ])
     def test_conv2d(self, shape, kernel, dilation):
         f, kh, kw = kernel
@@ -555,11 +556,16 @@ class TestBackward:
             op(Tape(), Tape())
 
     def test_operand_without_gradient_gets_no_edge(self, monkeypatch):
-        # The input of conv2d is a constant, so its vjp (the col2im) must never run.
-        def refuse(*args):
-            raise AssertionError("col2im ran for an operand that needs no gradient")
+        # The input of conv2d is a constant, so its vjp (the im2col of g) must never
+        # run: the forward is the only lowering.
+        calls = []
 
-        monkeypatch.setattr(ad, "_col2im", refuse)
+        def spy(*args):
+            calls.append(args[0].shape)
+            return im2col(*args)
+
+        im2col = ad._im2col
+        monkeypatch.setattr(ad, "_im2col", spy)
         tape = Tape(np.float64)
         x = tape.constant(RNG.normal(size=(2, 5, 6)))
         k = tape.tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
@@ -567,6 +573,7 @@ class TestBackward:
         ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), constant)))
         assert x.grad is None and constant.grad is None
         assert k.grad is not None and np.any(k.grad != 0.0)
+        assert calls == [(2, 5, 6)]
 
     def test_composed_graph_matches_finite_differences(self):
         for _ in range(N_TRIALS):

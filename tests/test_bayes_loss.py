@@ -104,19 +104,6 @@ class TestPosteriorBits:
         self.assert_same_bits(8, 8, heads, 1.3, 1.7)
 
 
-def test_posteriors_peak_memory_near_the_result_size():
-    # one result buffer plus one N x M temporary; the out-of-place formula peaks near 5x
-    n, side = 90, 128
-    heads = _random_heads(n, side, side, np.random.default_rng(90))
-    tracemalloc.start()
-    try:
-        posteriors_from_distances(side, side, heads, 16.0, 12.8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * (n + 1) * side * side * 8
-
-
 def test_posteriors_need_no_n_by_m_temporary():
     # the grid form builds distances from [N, W] and [N, H] arrays, so besides
     # the result only a few M-sized rows are live

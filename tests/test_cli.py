@@ -58,6 +58,22 @@ class TestGen:
         assert rc == 1
         assert "at least 11 pixels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", [("-3", "-1"), ("-1", "0"), ("0", "-1")],
+                             ids=["both", "train", "test"])
+    def test_negative_count_is_usage_error(self, counts, tmp_path, capsys):
+        out = tmp_path / "d"
+        rc = main(["gen", "--out", str(out), "--train", counts[0], "--test", counts[1]])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not out.exists()
+
+    def test_zero_counts_write_an_empty_manifest(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "d"), "--train", "0", "--test", "0"]) == 0
+        doc = load_manifest(tmp_path / "d" / "manifest.json")
+        assert doc["train"] == [] and doc["test"] == []
+
 
 class TestTrainEval:
     def test_train_writes_checkpoint_and_telemetry(self, dataset, tmp_path, capsys):
