@@ -152,13 +152,11 @@ def _cmd_infer(args) -> int:
 
 def _cmd_ra(args) -> int:
     cfg = RAConfig(temperature=args.temp)
+    _check_out_path(args.out, "--out")
+    if args.diff:
+        _check_out_path(args.diff, "--diff")
     image = load_image(args.image)
-    priority = load_image(args.priority)
-    if image.pixels.shape != priority.pixels.shape:
-        raise ShapeError(
-            f"image is {image.pixels.shape}, priority map is {priority.pixels.shape}"
-        )
-    enhanced = enhance(image.pixels, priority.pixels, cfg)
+    enhanced = enhance(image.pixels, load_image(args.priority).pixels, cfg)
     save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
     if args.diff:
         _save_peak_normalized(np.abs(enhanced - image.pixels), args.diff)

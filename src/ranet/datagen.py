@@ -60,6 +60,8 @@ class SceneSpec:
             raise ValueError("need 0 <= min_heads <= max_heads")
         if not (0.0 <= self.noise < 1.0):
             raise ValueError("noise amplitude must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _stamp_disc(canvas: np.ndarray, x: float, y: float, radius: float, peak: float):

@@ -26,31 +26,30 @@ from .region_aware import RAConfig, ra_apply
 
 ModelParams = dict[str, np.ndarray]
 
+# The fixed architecture; the backbone's four blocks sit at strides 2, 4, 8, 8.
+WIDTHS = (8, 16, 32, 32)
+CONTEXT_CHANNELS = 8
+ASPP_CHANNELS = 8
+DECODER_CHANNELS = 16
+HEAD_CHANNELS = 16
+DENSITY_BIAS = -6.0  # softplus(-6) ~ 2.5e-3/cell: start near count scale
+
 
 @dataclass(frozen=True)
 class NetConfig(ConfigDoc):
-    widths: tuple[int, ...] = (8, 16, 32, 32)
     pool_grids: tuple[int, ...] = (1, 2, 3, 6)
     dilation_rates: tuple[int, ...] = (1, 2, 3, 4)
     ra: RAConfig = field(default_factory=RAConfig, metadata={"prefix": "ra_"})
     seed: int = 0
-    context_channels: int = 8
-    aspp_channels: int = 8
-    decoder_channels: int = 16
-    head_channels: int = 16
-    density_bias: float = -6.0  # softplus(-6) ~ 2.5e-3/cell: start near count scale
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.widths) != 4:
-            raise ValueError(f"need exactly 4 backbone widths, got {len(self.widths)}")
-        for name, out_ch, in_ch, _, _ in _conv_spec(self):
-            if min(out_ch, in_ch) < 1:
-                raise ValueError(f"layer {name} maps {in_ch} -> {out_ch} channels; both need >= 1")
         if any(g < 1 for g in self.pool_grids):
             raise ValueError("pooling grids must be >= 1")
-        if any(r < 1 for r in self.dilation_rates):
-            raise ValueError("dilation rates must be >= 1")
+        if not self.dilation_rates or any(r < 1 for r in self.dilation_rates):
+            raise ValueError("need at least one dilation rate, each >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -70,13 +69,7 @@ class ForwardResult:
 
 def _conv_spec(cfg: NetConfig) -> list[tuple[str, int, int, int, float | None]]:
     """(name, out_ch, in_ch, kernel_side, bias_init) for every conv, fixed order."""
-    w = cfg.widths
-    cc, ac, dc, hc = (
-        cfg.context_channels,
-        cfg.aspp_channels,
-        cfg.decoder_channels,
-        cfg.head_channels,
-    )
+    w, cc, ac, dc, hc = WIDTHS, CONTEXT_CHANNELS, ASPP_CHANNELS, DECODER_CHANNELS, HEAD_CHANNELS
     spec: list[tuple[str, int, int, int, float | None]] = []
 
     for i, (in_ch, out_ch) in enumerate(zip((1, *w), w)):
@@ -94,7 +87,7 @@ def _conv_spec(cfg: NetConfig) -> list[tuple[str, int, int, int, float | None]]:
     spec.append(("head.fuse2", hc, hc + w[0], 1, 0.0))
     spec.append(("head.feat", hc, hc, 3, 0.0))
     spec.append(("head.att", hc, hc, 3, 0.0))
-    spec.append(("head.out", 1, hc, 1, cfg.density_bias))
+    spec.append(("head.out", 1, hc, 1, DENSITY_BIAS))
     return spec
 
 

@@ -16,8 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .bayes import BayesParams
 from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, _fits
-from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
-                      param_shapes, pass1_param_names)
+from .network import (ASPP_CHANNELS, CONTEXT_CHANNELS, DECODER_CHANNELS, DENSITY_BIAS,
+                      HEAD_CHANNELS, WIDTHS, ModelParams, NetConfig, full_forward, init_params,
+                      padded_shape, param_shapes, pass1_param_names)
 
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
@@ -26,10 +27,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 10.0  # batches whose global gradient norm exceeds this are scaled down to it
 
 # Config keys that older builds wrote for settings this build fixes, per
-# block ("" is the top level), with the one value each may still hold.
+# block ("" is the top level), with the one value each may still hold as JSON.
 _RETIRED_KEYS = {
     "": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "clip_norm": CLIP_NORM},
-    "net": {"two_tower": False, "ra_column_normalize": False},
+    "net": {"two_tower": False, "ra_column_normalize": False, "widths": list(WIDTHS),
+            "context_channels": CONTEXT_CHANNELS, "aspp_channels": ASPP_CHANNELS,
+            "decoder_channels": DECODER_CHANNELS, "head_channels": HEAD_CHANNELS,
+            "density_bias": DENSITY_BIAS},
 }
 
 
@@ -57,6 +61,8 @@ class TrainConfig(ConfigDoc):
             raise ValueError(f"crop must be a multiple of 8 and at least 16, got {self.crop}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -69,6 +69,15 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("usage error: ")
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        rc = main(["gen", "--out", str(out), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and "seed" in err[0]
+        assert not out.exists()
+
     def test_zero_counts_write_an_empty_manifest(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--train", "0", "--test", "0"]) == 0
         doc = load_manifest(tmp_path / "d" / "manifest.json")
@@ -117,6 +126,15 @@ class TestTrainEval:
         assert rc == 1 and "epoch=" not in captured.out
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ") and "finite" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_fails_before_training(self, dataset, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
+                   *FAST_TRAIN, "--seed", "-2"])
+        captured = capsys.readouterr()
+        assert rc == 1 and "epoch=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and "seed" in err[0]
         assert list(tmp_path.iterdir()) == []
 
     def test_train_determinism_byte_identical(self, dataset, tmp_path):
@@ -314,6 +332,15 @@ class TestRaCommand:
         assert rc == 1 and len(err) == 1 and err[0].startswith("usage error: ")
         assert list(tmp_path.iterdir()) == [img]
 
+    def test_unwritable_diff_fails_before_any_output(self, tmp_path, capsys):
+        img, out = tmp_path / "q.pgm", tmp_path / "o.pgm"
+        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(out),
+                   "--diff", str(tmp_path / "missing" / "d.pgm")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ") and "--diff" in err[0]
+        assert list(tmp_path.iterdir()) == [img]
+
     def test_shape_mismatch_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         a, b, o = tmp_path / "a.pgm", tmp_path / "b.pgm", tmp_path / "o.pgm"
@@ -375,20 +402,29 @@ class TestMalformedCheckpoint:
     def test_mistyped_config_value(self, checkpoint, tmp_path, infer):
         bad = tmp_path / "bad.rack"
         bad.write_bytes(rewrite_config(checkpoint.read_bytes(),
-                                       lambda doc: doc["net"].update(widths="abc")))
+                                       lambda doc: doc["net"].update(pool_grids="abc")))
         rc, err = infer(bad)
-        assert rc == 2 and "widths" in err
+        assert rc == 2 and "pool_grids" in err
 
     @pytest.mark.parametrize("key,value,layer", [
         ("head_channels", 0, "head.fuse1"),
         ("decoder_channels", 1, "dec.fuse2"),
     ])
     def test_config_with_an_empty_layer(self, checkpoint, tmp_path, infer, key, value, layer):
+        # the channel counts are fixed: a config block holding another count is
+        # refused by that retired key, before any tensor of the layer is read
         bad = tmp_path / "bad.rack"
         bad.write_bytes(rewrite_config(checkpoint.read_bytes(),
                                        lambda doc: doc["net"].update({key: value})))
         rc, err = infer(bad)
-        assert rc == 2 and layer in err
+        assert rc == 2 and f"config key {key!r}" in err and "retired" in err and layer not in err
+
+    def test_config_without_dilation_rates(self, checkpoint, tmp_path, infer):
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(),
+                                       lambda doc: doc["net"].update(dilation_rates=[])))
+        rc, err = infer(bad)
+        assert rc == 2 and "dilation rate" in err
 
     @pytest.mark.parametrize("key,edit", [
         ("ra_column_normalize", lambda doc: doc["net"].update(ra_column_normalize=True)),

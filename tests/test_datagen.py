@@ -50,6 +50,10 @@ class TestGenScene:
         with pytest.raises(ValueError):
             SceneSpec(width=10, height=10)
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            SceneSpec(seed=-1)
+
     def test_heads_brighter_than_background(self):
         # mean disc intensity must clear the 90th percentile of background
         for i in range(25):

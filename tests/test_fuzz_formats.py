@@ -25,8 +25,7 @@ from ranet.datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest
 from ranet.network import NetConfig, init_params, param_shapes
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
-TINY_NET = NetConfig(widths=(4, 4, 4, 4), pool_grids=(1,), dilation_rates=(1,), context_channels=2,
-                     aspp_channels=2, decoder_channels=2, head_channels=2)
+TINY_NET = NetConfig(pool_grids=(1,), dilation_rates=(1,))
 
 
 def valid_checkpoint(out):

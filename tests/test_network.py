@@ -51,23 +51,20 @@ class TestInitParams:
             assert np.abs(arr).max() < 10
 
     def test_config_validation(self):
-        for widths in ((8,), (8, 16, 32), (8, 16, 32, 32, 32)):
-            with pytest.raises(ValueError, match="exactly 4 backbone widths"):
-                NetConfig(widths=widths)
         with pytest.raises(ValueError):
             NetConfig(pool_grids=(0,))
 
-    @pytest.mark.parametrize("kwargs,layer", [
-        ({"head_channels": 0}, "head.fuse1"),
-        ({"decoder_channels": 1}, "dec.fuse2"),
-        ({"widths": (8, 16, 32, 1)}, "aspp.fuse"),
-    ])
-    def test_every_layer_has_a_channel(self, kwargs, layer):
-        with pytest.raises(ValueError, match=layer):
-            NetConfig(**kwargs)
+    @pytest.mark.parametrize("rates", [(), (0,), (1, -2)])
+    def test_dilation_rates_need_one_positive_rate(self, rates):
+        with pytest.raises(ValueError, match="dilation rate"):
+            NetConfig(dilation_rates=rates)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            NetConfig(seed=-1)
 
     def test_config_round_trips_as_dict(self):
-        cfg = NetConfig(widths=(4, 8, 8, 8), pool_grids=(1, 2), seed=9)
+        cfg = NetConfig(pool_grids=(1, 2), seed=9)
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_config_dict_with_an_unknown_key_is_format_error(self):

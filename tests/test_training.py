@@ -144,9 +144,9 @@ class TestTrainEpoch:
 
     def test_overfit_two_samples(self):
         # optimization sanity: a memorizable 2-scene problem must collapse its
-        # own loss.  Start from a miscalibrated density scale (bias -4 puts
-        # the initial count near 70 against 13 heads) so epoch 1 is genuinely
-        # bad; 200 epochs must recover more than 95% of it.
+        # own loss.  Start from a miscalibrated density scale (an output bias
+        # of -4 puts the initial count far above the 13 heads) so epoch 1 is
+        # genuinely bad; 200 epochs must recover more than 95% of it.
         dense = gen_scene(
             SceneSpec(width=64, height=64, min_heads=12, max_heads=15, seed=33), 0
         )
@@ -154,9 +154,10 @@ class TestTrainEpoch:
         cfg = TrainConfig(
             lr=3e-3, batch_size=1, crop=64, epochs=200, seed=0,
             bayes=BayesParams(delta=4.0, d_ratio=0.45),
-            net=NetConfig(seed=0, head_channels=24, density_bias=-4.0),
+            net=NetConfig(seed=0),
         )
         params = init_params(cfg.net)
+        params["head.out.b"][:] = -4.0
         state = OptState.fresh(params)
         first = None
         for epoch in range(cfg.epochs):
@@ -200,6 +201,8 @@ class TestTrainDriver:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(crop=20)
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
 
     def test_crop_need_not_hold_the_pooling_grids(self):
         # the default grids go up to 6; a 32 crop's 4x4 context map pools into overlapping bins
@@ -229,7 +232,7 @@ class TestCheckpointFormat:
         cfg = TrainConfig(
             lr=2e-3, batch_size=4, crop=32, epochs=9, seed=3,
             bayes=BayesParams(delta=3.5, d_ratio=0.2),
-            net=NetConfig(widths=(4, 8, 8, 8), pool_grids=(1, 3), seed=2),
+            net=NetConfig(pool_grids=(1, 3), seed=2),
         )
         params = init_params(cfg.net)
         path = tmp_path / "model.rack"
@@ -268,14 +271,22 @@ class TestCheckpointFormat:
 # The config block of a default checkpoint as this build writes it.
 DEFAULT_CONFIG_JSON = (
     '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
+    '"net": {"dilation_rates": [1, 2, 3, 4], "pool_grids": [1, 2, 3, 6], '
+    '"ra_temperature": 1.0, "seed": 0}, "seed": 0}'
+)
+
+# The same block as builds with a configurable architecture (backbone widths,
+# branch and head channels, density bias) wrote it.
+LEGACY_ARCHITECTURE_CONFIG_JSON = (
+    '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
     '"net": {"aspp_channels": 8, "context_channels": 8, "decoder_channels": 16, '
     '"density_bias": -6.0, "dilation_rates": [1, 2, 3, 4], "head_channels": 16, '
     '"pool_grids": [1, 2, 3, 6], "ra_temperature": 1.0, '
     '"seed": 0, "widths": [8, 16, 32, 32]}, "seed": 0}'
 )
 
-# The same block as builds with configurable Adam settings, clip norm, cosine
-# similarity and second backbone wrote it (``perfbench/checkpoint/infer256.rack``
+# The same block as builds that also had configurable Adam settings, clip norm,
+# cosine similarity and second backbone wrote it (``perfbench/checkpoint/infer256.rack``
 # holds these bytes).
 LEGACY_CONFIG_JSON = (
     '{"batch_size": 8, "beta1": 0.9, "beta2": 0.999, "clip_norm": 10.0, "crop": 64, '
@@ -328,10 +339,11 @@ class TestPinnedConfigFormat:
     def test_legacy_rack_loads(self, tmp_path):
         params = init_params(NetConfig())
         path = tmp_path / "legacy.rack"
-        path.write_bytes(hand_built_rack(LEGACY_CONFIG_JSON, params))
-        loaded, cfg = load_checkpoint(path)
-        assert cfg == TrainConfig()
-        assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+        for config_json in (LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON):
+            path.write_bytes(hand_built_rack(config_json, params))
+            loaded, cfg = load_checkpoint(path)
+            assert cfg == TrainConfig()
+            assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
 
     def test_committed_legacy_checkpoint_loads(self):
         params, cfg = load_checkpoint(COMMITTED_CHECKPOINT)
@@ -343,6 +355,9 @@ class TestPinnedConfigFormat:
         (None, "clip_norm", -10.0), (None, "clip_norm", "10.0"),
         ("net", "two_tower", True), ("net", "two_tower", 0),
         ("net", "ra_column_normalize", True),
+        ("net", "widths", [4, 8, 8, 8]), ("net", "widths", [8, 16, 32]),
+        ("net", "head_channels", 24), ("net", "context_channels", 8.0),
+        ("net", "density_bias", -4.0), ("net", "density_bias", "-6.0"),
     ])
     def test_retired_key_with_another_value_is_format_error(self, tmp_path, block, key, value):
         doc = json.loads(LEGACY_CONFIG_JSON)
