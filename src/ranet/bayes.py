@@ -12,7 +12,10 @@ background's to zero with an absolute-value penalty.
 
 Posterior computation happens in log space with a per-pixel max shift, so
 distant pixels cannot underflow every likelihood to zero.  The Gaussian
-prefactor 1/(sqrt(2 pi) delta) is common to all labels and cancels.
+prefactor 1/(sqrt(2 pi) delta) is common to all labels and cancels.  The
+posteriors are built in the precision of the tape that consumes them:
+float64 for verification, float32 for training, which halves their one
+(N+1) x M buffer and lets the tape wrap it without a copy.
 """
 
 from __future__ import annotations
@@ -48,19 +51,24 @@ class BayesParams(ConfigDoc):
 
 
 def posteriors_from_distances(
-    height: int, width: int, heads: np.ndarray, delta: float, d: float
+    height: int, width: int, heads: np.ndarray, delta: float, d: float, dtype=np.float64
 ) -> np.ndarray:
     """Label posteriors for every pixel of a height x width grid, immune to underflow.
 
-    Returns a read-only (N+1) x (height*width) float64 array: rows head_1..head_N
-    then background, one column per pixel in row-major order, so pixel (x, y)
-    is column y * width + x.  Every column sums to 1.  The squared distances
-    are one broadcast add of an [N, W] and an [N, H] array.
+    Returns a read-only (N+1) x (height*width) array in ``dtype`` (float32 or
+    float64): rows head_1..head_N then background, one column per pixel in
+    row-major order, so pixel (x, y) is column y * width + x.  Every column
+    sums to 1.  The squared distances are one broadcast add of an [N, W]
+    and an [N, H] array.
 
-    Every step runs in place in the one result buffer, with the same values
-    as the out-of-place formula that the test oracle ``ref_posteriors``
-    keeps, so the two agree to the last bit.
+    Every step runs in place in the one result buffer, in ``dtype``.  In
+    float64 the values are those of the out-of-place formula that the test
+    oracle ``ref_posteriors`` keeps, so the two agree to the last bit; in
+    float32 they agree to about 1e-6.
     """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"posteriors: dtype must be float32 or float64, got {dtype}")
     if height < 1 or width < 1:
         raise ShapeError(f"posteriors: grid must be at least 1x1, got {height}x{width}")
     heads = np.asarray(heads, dtype=np.float64)
@@ -68,15 +76,17 @@ def posteriors_from_distances(
         raise ShapeError(f"posteriors: heads must have shape (N, 2), got {heads.shape}")
     if not np.all(np.isfinite(heads)):
         raise NumericError("posteriors: heads contain non-finite coordinates")
+    delta, d = float(delta), float(d)  # Python floats keep float32 arithmetic in float32
     n = heads.shape[0]
     if n == 0:
-        out = np.ones((1, height * width))
+        out = np.ones((1, height * width), dtype=dtype)
         out.flags.writeable = False
         return out
-    out = np.empty((n + 1, height * width))
+    out = np.empty((n + 1, height * width), dtype=dtype)
     sq = out[:n]
-    dx2 = np.square(heads[:, :1] - np.arange(width, dtype=np.float64))
-    dy2 = np.square(heads[:, 1:] - np.arange(height, dtype=np.float64))
+    # squared axis offsets in float64, each rounded once to dtype
+    dx2 = np.square(heads[:, :1] - np.arange(width, dtype=np.float64)).astype(dtype, copy=False)
+    dy2 = np.square(heads[:, 1:] - np.arange(height, dtype=np.float64)).astype(dtype, copy=False)
     np.add(dx2[:, None, :], dy2[:, :, None], out=sq.reshape(n, height, width))  # x^2 + y^2
     min_sq = sq.min(axis=0)
     inv = 1.0 / (2.0 * delta * delta)
@@ -113,18 +123,21 @@ def bayes_loss(dmap: Tensor, heads: np.ndarray, params: BayesParams) -> Tensor:
     """Point-supervision loss on a [H, W] density tensor, differentiable in dmap.
 
     L = sum_n |1 - E[c_n]| + |0 - E[c_0]|.  With no heads the background
-    posterior is identically 1 and the loss collapses to |total count|.
+    posterior is identically 1 and the loss collapses to |total count|.  The
+    posteriors are computed in the dtype of dmap's tape.
     """
     if dmap.data.ndim != 2:
         raise ShapeError(f"bayes_loss: density must be [H, W], got {dmap.shape}")
     if not np.all(np.isfinite(dmap.data)):
         raise NumericError("bayes_loss: density map contains non-finite values")
     h, w = dmap.shape
-    probs = posteriors_from_distances(h, w, heads, params.delta, margin_pixels(params, h, w))
+    tape = dmap.tape
+    probs = posteriors_from_distances(
+        h, w, heads, params.delta, margin_pixels(params, h, w), tape.dtype
+    )
     n = probs.shape[0] - 1
 
-    tape = dmap.tape
-    weights = tape.constant(probs)  # (N+1, M), constant w.r.t. dmap
+    weights = tape.constant(probs)  # (N+1, M) in the tape's dtype, so wrapped without a copy
     target = tape.constant(np.append(np.ones(n), 0.0).reshape(n + 1, 1))
     counts = ad.matmul(weights, ad.reshape(dmap, (h * w, 1)))
     residual = ad.add(target, ad.scale(counts, -1.0))

@@ -48,6 +48,10 @@ class NetConfig(ConfigDoc):
             raise ValueError("pooling grids must be >= 1")
         if not self.dilation_rates or any(r < 1 for r in self.dilation_rates):
             raise ValueError("need at least one dilation rate, each >= 1")
+        for name in ("pool_grids", "dilation_rates"):  # a repeat would share one branch's weights
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,5 +1,6 @@
 """Bayesian point-supervision loss against direct formula evaluation."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -104,18 +105,65 @@ class TestPosteriorBits:
         self.assert_same_bits(8, 8, heads, 1.3, 1.7)
 
 
+class TestFloat32Posteriors:
+    """The float32 posteriors a float32 tape trains on, against the float64 oracle."""
+
+    TOL = 2e-6  # absolute, on every entry and on every column sum
+
+    def assert_close(self, h, w, heads, delta, d):
+        got = posteriors_from_distances(h, w, heads, delta, d, np.float32)
+        assert got.dtype == np.float32 and not got.flags.writeable
+        want = ref_posteriors(pixel_list(h, w), heads, delta, d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=self.TOL)
+        np.testing.assert_allclose(got.sum(axis=0, dtype=np.float64), 1.0, rtol=0, atol=self.TOL)
+
+    def test_criterion_5_ranges(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            h, w = int(rng.integers(2, 33)), int(rng.integers(2, 33))
+            heads = _random_heads(int(rng.integers(1, 51)), h, w, rng)
+            self.assert_close(h, w, heads, float(rng.uniform(0.5, 9.0)),
+                              float(rng.uniform(0.5, 8.0)))
+
+    @pytest.mark.parametrize("n", [60, 120])
+    @pytest.mark.parametrize("delta", [2.0, 16.0])
+    def test_dense_crop(self, n, delta):
+        rng = np.random.default_rng(n)
+        self.assert_close(128, 128, _random_heads(n, 128, 128, rng), delta, 12.8)
+
+    def test_zero_heads(self):
+        probs = posteriors_from_distances(3, 3, np.zeros((0, 2)), 1.0, 1.0, np.float32)
+        assert probs.dtype == np.float32 and not probs.flags.writeable
+        np.testing.assert_array_equal(probs, np.ones((1, 9)))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match="dtype"):
+            posteriors_from_distances(3, 3, np.array([[1.0, 1.0]]), 1.0, 1.0, dtype)
+
+
+def _posteriors_peak_bytes(n, side, dtype):
+    heads = _random_heads(n, side, side, np.random.default_rng(90))
+    tracemalloc.start()
+    try:
+        posteriors_from_distances(side, side, heads, 16.0, 12.8, dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_posteriors_need_no_n_by_m_temporary():
     # the grid form builds distances from [N, W] and [N, H] arrays, so besides
     # the result only a few M-sized rows are live
     n, side = 90, 128
-    heads = _random_heads(n, side, side, np.random.default_rng(90))
-    tracemalloc.start()
-    try:
-        posteriors_from_distances(side, side, heads, 16.0, 12.8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * (n + 1) * side * side * 8
+    assert _posteriors_peak_bytes(n, side, np.float64) <= 1.3 * (n + 1) * side * side * 8
+
+
+def test_float32_posteriors_need_no_n_by_m_temporary():
+    # nor a float64 one: the one buffer is float32 from the start
+    n, side = 90, 128
+    assert _posteriors_peak_bytes(n, side, np.float32) <= 1.3 * (n + 1) * side * side * 4
 
 
 class TestExpectedCounts:
@@ -271,6 +319,32 @@ class TestBayesLoss:
         for heads in (np.array([[1.0, 2.0], [0.5, 0.5]]), np.zeros((0, 2))):
             bayes_loss(tape.tensor(np.ones((4, 4))), heads, BayesParams(delta=1.0, d_ratio=0.25))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_posteriors_in_the_tapes_dtype(self, monkeypatch, dtype):
+        # a float32 tape gets float32 posteriors, which it wraps without a copy
+        requested, made, wrapped = [], [], []
+        inner, constant = bayes.posteriors_from_distances, Tape.constant
+
+        def spy(*args, **kwargs):
+            call = inspect.signature(inner).bind(*args, **kwargs)
+            call.apply_defaults()
+            requested.append(np.dtype(call.arguments["dtype"]))
+            made.append(inner(*args, **kwargs))
+            return made[-1]
+
+        def recording_constant(tape, data):
+            out = constant(tape, data)
+            wrapped.append(out.data)
+            return out
+
+        monkeypatch.setattr(bayes, "posteriors_from_distances", spy)
+        monkeypatch.setattr(Tape, "constant", recording_constant)
+        tape = Tape(dtype)
+        bayes_loss(tape.tensor(np.ones((4, 4))), np.array([[1.0, 2.0]]),
+                   BayesParams(delta=1.0, d_ratio=0.25))
+        assert requested == [np.dtype(dtype)]
+        assert made[0].dtype == dtype and wrapped[0] is made[0]
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -426,6 +426,15 @@ class TestMalformedCheckpoint:
         rc, err = infer(bad)
         assert rc == 2 and "dilation rate" in err
 
+    def test_config_with_a_repeated_grid(self, checkpoint, tmp_path, infer):
+        def repeat_first_grid(doc):
+            grids = doc["net"]["pool_grids"]
+            grids.append(grids[0])
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(rewrite_config(checkpoint.read_bytes(), repeat_first_grid))
+        rc, err = infer(bad)
+        assert rc == 2 and "pool_grids must not repeat" in err
+
     @pytest.mark.parametrize("key,edit", [
         ("ra_column_normalize", lambda doc: doc["net"].update(ra_column_normalize=True)),
         ("clip_norm", lambda doc: doc.update(clip_norm=5.0)),

@@ -63,6 +63,16 @@ class TestInitParams:
         with pytest.raises(ValueError, match="seed"):
             NetConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("pool_grids", dict(pool_grids=(2, 2))),
+        ("dilation_rates", dict(dilation_rates=(1, 1))),
+        ("pool_grids", dict(pool_grids=(1, 2, 1, 6))),
+    ])
+    def test_repeated_grid_or_rate_is_refused(self, field, kwargs):
+        # two branches of one grid or rate would share a single weight tensor
+        with pytest.raises(ValueError, match=f"{field} must not repeat"):
+            NetConfig(**kwargs)
+
     def test_config_round_trips_as_dict(self):
         cfg = NetConfig(pool_grids=(1, 2), seed=9)
         assert NetConfig.from_dict(cfg.to_dict()) == cfg
