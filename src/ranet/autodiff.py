@@ -6,10 +6,13 @@ vjp maps the output's gradient to that operand's vector-Jacobian product.
 Besides its checks and forward arithmetic, a primitive only states one vjp
 per operand.  The tape, not the primitive, checks that all operands share
 it, drops the edges of operands that do not require gradient, and adds
-each vjp into its operand's .grad.  Execution order is already a
-topological order of the graph, so reverse-mode differentiation replays
-the records once, back to front.  No broadcasting: shapes must match
-exactly except where a primitive says otherwise.
+each vjp into its operand's .grad.  A primitive's forward builds only its
+output: an array that only a vjp needs (relu's mask, softplus's logistic,
+abs_val's sign, conv2d's flipped kernel) is built inside that vjp, so a
+tape without gradients does forward work only.  Execution order is
+already a topological order of the graph, so reverse-mode differentiation
+replays the records once, back to front.  No broadcasting: shapes must
+match exactly except where a primitive says otherwise.
 
 Spatial primitives are matrix products where that is the work: conv2d
 multiplies the kernel, seen as [F, C*kh*kw], by the im2col matrix of the
@@ -167,33 +170,37 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
-    mask = x.data > 0  # subgradient at exactly 0 is 0
-    return _result(np.maximum(x.data, 0), (x, lambda g: g * mask))
+    # subgradient at exactly 0 is 0
+    return _result(np.maximum(x.data, 0), (x, lambda g: g * (x.data > 0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     _require_finite(x.data, "sigmoid")
-    # Branch on sign so neither exp overflows.
-    pos = x.data >= 0
-    z = np.exp(np.where(pos, -x.data, x.data))
-    y = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.tape.dtype)
+    # z = e^-|x| never overflows: y = z / (1 + z) for x < 0, 1 / (1 + z) for x >= 0.
+    z = np.abs(x.data)
+    np.exp(np.negative(z, out=z), out=z)
+    den = 1.0 + z
+    y = np.divide(z, den, out=z)
+    np.divide(1.0, den, out=y, where=x.data >= 0)
     return _result(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def softplus(x: Tensor) -> Tensor:
     """Smooth non-negative rectifier ln(1 + e^x), computed stably."""
     _require_finite(x.data, "softplus")
-    y = np.logaddexp(0.0, x.data).astype(x.tape.dtype)
-    sig = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
-    sig = np.where(x.data >= 0, sig, 1.0 - sig)
-    return _result(y, (x, lambda g: g * sig))
+    y = np.logaddexp(0.0, x.data).astype(x.tape.dtype, copy=False)
+
+    def vjp(g):
+        sig = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
+        return g * np.where(x.data >= 0, sig, 1.0 - sig)
+
+    return _result(y, (x, vjp))
 
 
 def abs_val(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at the kink."""
     _require_finite(x.data, "abs_val")
-    sign = np.sign(x.data)
-    return _result(np.abs(x.data), (x, lambda g: g * sign))
+    return _result(np.abs(x.data), (x, lambda g: g * np.sign(x.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +226,20 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
+    """Join tensors along their first axis: [C_i, ...] -> [sum C_i, ...].
+
+    The tensors must share one rank >= 1 and agree on every axis after the
+    first, so [C,H,W] maps, conv kernels [F,C,kh,kw] and biases [F] all join.
+    """
     if not xs:
         raise ShapeError("concat_channels: need at least one tensor")
-    spatial = xs[0].shape[1:]
+    rest = xs[0].shape[1:]
     for t in xs:
-        if t.data.ndim != 3:
-            raise ShapeError(f"concat_channels: expected [C,H,W] tensors, got {t.shape}")
-        if t.shape[1:] != spatial:
+        if t.data.ndim == 0:
+            raise ShapeError("concat_channels: cannot join 0-d tensors")
+        if t.shape[1:] != rest:
             raise ShapeError(
-                f"concat_channels: spatial shapes differ, {t.shape[1:]} vs {spatial}"
+                f"concat_channels: shapes differ after the first axis, {t.shape} vs {xs[0].shape}"
             )
     sizes = [t.shape[0] for t in xs]
     offsets = np.cumsum([0] + sizes)
@@ -270,7 +282,7 @@ def softmax_rows(s: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows: expected a 2D tensor, got {s.shape}")
     shifted = s.data - s.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    y = (e / e.sum(axis=1, keepdims=True)).astype(s.tape.dtype)
+    y = (e / e.sum(axis=1, keepdims=True)).astype(s.tape.dtype, copy=False)
 
     def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
@@ -374,7 +386,11 @@ def _pool_axis(size: int, grid: int, dtype) -> np.ndarray:
 def _mean_of_runs(runs: np.ndarray, axis: int, scale) -> np.ndarray:
     """Mean over one short axis: its slices (strided views) added in order, then scaled."""
     parts = np.moveaxis(runs, axis, 0)
-    return sum(parts[1:], parts[0]) * scale
+    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
+    for part in parts[2:]:
+        total += part
+    total *= scale
+    return total
 
 
 def avgpool(x: Tensor, window: int) -> Tensor:

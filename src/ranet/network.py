@@ -5,7 +5,10 @@ multi-grid pooled context head and a parallel dilated-convolution head,
 and decodes them into a full-resolution priority map in [0, 1].  The
 priority map re-enters through the column-relevance block to produce an
 enhanced input, and pass 2 reuses the same backbone to turn that into a
-non-negative density map via sibling feature / attention heads.
+non-negative density map via sibling feature / attention heads.  The two
+heads run as one 32-filter convolution on their shared input; parameters
+and checkpoints still hold them as separate head.feat.* and head.att.*
+tensors.
 
 Parameters live as plain float32 arrays in a name -> array map and are
 bound to a fresh tape per forward pass, so verification can run the same
@@ -204,8 +207,12 @@ def pass2(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     d1 = _fuse(p, "head.fuse1", f3, f5)
     d2 = _fuse(p, "head.fuse2", f2, d1)
 
-    feat = ad.relu(_conv(d2, p, "head.feat"))
-    att = ad.sigmoid(_conv(d2, p, "head.att"))
+    # both heads read d2: one 2*HEAD_CHANNELS-filter convolution lowers it once
+    heads = ("head.feat", "head.att")
+    both = ad.conv2d(d2, ad.concat_channels([p[f"{n}.k"] for n in heads]),
+                     bias=ad.concat_channels([p[f"{n}.b"] for n in heads]))
+    feat = ad.relu(ad.slice_channels(both, 0, HEAD_CHANNELS))
+    att = ad.sigmoid(ad.slice_channels(both, HEAD_CHANNELS, 2 * HEAD_CHANNELS))
     fused = _conv(ad.mul(feat, att), p, "head.out")
     density = ad.softplus(fused)
     return ad.upsample_bilinear(density, h, w)

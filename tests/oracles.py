@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 
+# float64 primitives against the loop oracles: the same arithmetic summed in
+# another order, so they agree to a few hundred ulps of O(1) values.
+ORACLE_TOL = 1e-12
+
 
 def central_diff(f, x: np.ndarray, index: tuple, h: float = 1e-5) -> float:
     """Central finite difference of scalar-valued f at one coordinate of x."""
@@ -260,3 +264,15 @@ def bf_adaptive_pool(x: np.ndarray, grid_h: int, grid_w: int):
         return gx
 
     return out, vjp
+
+
+# ---------------------------------------------------------------------------
+# Elementwise references
+# ---------------------------------------------------------------------------
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in x's dtype, branched on sign so neither exp overflows."""
+    pos = x >= 0
+    z = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)

@@ -9,14 +9,18 @@ import pytest
 from ranet import autodiff as ad
 from ranet.autodiff import GraphError, NumericError, ShapeError, Tape
 
-from oracles import bf_adaptive_pool, bf_conv2d, bf_upsample, check_gradient
+from oracles import (
+    ORACLE_TOL,
+    bf_adaptive_pool,
+    bf_conv2d,
+    bf_upsample,
+    check_gradient,
+    two_branch_sigmoid,
+)
 
 RNG = np.random.default_rng(20240811)
 N_TRIALS = 20
 PRIMITIVE_TOL = 1e-6
-# float64 primitives against the loop oracles: the same arithmetic summed in
-# another order, so they agree to a few hundred ulps of O(1) values.
-ORACLE_TOL = 1e-12
 
 
 def scalar_through(op, x_arr: np.ndarray, *, weights=None):
@@ -396,6 +400,33 @@ class TestConcatSlice:
         np.testing.assert_array_equal(a.grad, w.data[0:2])
         np.testing.assert_array_equal(b.grad, w.data[2:3])
 
+    @pytest.mark.parametrize("rest", [(), (2, 3, 3)], ids=["rank1", "rank4"])
+    def test_any_rank_along_the_first_axis(self, rest):
+        # biases [F] and kernels [F,C,kh,kw] join like [C,H,W] maps; a generator
+        # of its own leaves the draws of the tests after it as they were
+        rng = np.random.default_rng(len(rest))
+        tape = Tape(np.float64)
+        a = tape.tensor(rng.uniform(size=(2,) + rest), requires_grad=True)
+        b = tape.tensor(rng.uniform(size=(3,) + rest), requires_grad=True)
+        cat = ad.concat_channels([a, b])
+        assert cat.shape == (5,) + rest
+        np.testing.assert_array_equal(cat.data, np.concatenate([a.data, b.data]))
+        w = tape.constant(rng.normal(size=(5,) + rest))
+        ad.backward(ad.sum_all(ad.mul(cat, w)))
+        np.testing.assert_array_equal(a.grad, w.data[0:2])
+        np.testing.assert_array_equal(b.grad, w.data[2:5])
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 4, 4), (2, 4, 4, 1)],
+        [(3,), (3, 1)],
+        [(1, 4, 4), (4, 4)],
+        [(), ()],
+    ], ids=["3-vs-4", "1-vs-2", "3-vs-2", "0-d"])
+    def test_rank_mismatch_is_shape_error(self, shapes):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            ad.concat_channels([tape.tensor(np.zeros(s)) for s in shapes])
+
 
 class TestElementwise:
     def test_relu_values(self):
@@ -408,6 +439,16 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         tape = Tape()
         assert ad.sigmoid(tape.tensor([0.0])).data[0] == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_branch_reference(self, dtype):
+        special = np.array([0.0, 1e-30, 1.0, 20.0, 88.7, 89.0, 800.0])
+        normals = np.random.default_rng(16).normal(size=1000)  # leaves RNG's draws as they were
+        xs = np.concatenate([special, -special, normals]).astype(dtype)
+        assert np.signbit(xs[len(special)])  # -0.0 is among the inputs
+        out = ad.sigmoid(Tape(dtype).tensor(xs)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == two_branch_sigmoid(xs).tobytes()
 
     def test_sigmoid_extreme_inputs_stable(self):
         tape = Tape()

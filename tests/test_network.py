@@ -19,7 +19,7 @@ from ranet.network import (
 )
 from ranet.region_aware import ra_apply
 
-from oracles import rel_err
+from oracles import ORACLE_TOL, rel_err
 
 RNG = np.random.default_rng(2718)
 
@@ -29,6 +29,18 @@ BAYES = BayesParams(delta=2.0, d_ratio=0.15)
 
 def random_image(h=16, w=16):
     return RNG.uniform(0.0, 1.0, size=(h, w))
+
+
+def two_conv_pass2(x, p):
+    """pass2 with head.feat and head.att run as two separate conv2d calls."""
+    _, h, w = x.shape
+    f2, f3, _, f5 = network._backbone(x, p)
+    d1 = network._fuse(p, "head.fuse1", f3, f5)
+    d2 = network._fuse(p, "head.fuse2", f2, d1)
+    feat = ad.relu(network._conv(d2, p, "head.feat"))
+    att = ad.sigmoid(network._conv(d2, p, "head.att"))
+    density = ad.softplus(network._conv(ad.mul(feat, att), p, "head.out"))
+    return ad.upsample_bilinear(density, h, w)
 
 
 class TestInitParams:
@@ -235,6 +247,34 @@ class TestPass2AndFullForward:
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
         assert pm.values.tobytes() == res.priority.data.astype(np.float64).tobytes()
         assert dm.count >= 0.0
+
+    def test_heads_share_one_convolution(self, monkeypatch):
+        # its own generator, so the draws of later tests stay as they were
+        rng = np.random.default_rng(16)
+        params = init_params(SMALL)
+        x_arr = rng.uniform(0.0, 1.0, size=(1, 16, 16))
+        cot = rng.normal(size=x_arr.shape)
+        heads = [f"head.{h}.{t}" for h in ("feat", "att") for t in ("k", "b")]
+        runs = []
+        for run in (network.pass2, two_conv_pass2):
+            tape = Tape(np.float64)
+            leaves = bind(tape, params)
+            density = run(tape.constant(x_arr), leaves)
+            ad.backward(ad.sum_all(ad.mul(density, tape.constant(cot))))
+            runs.append((density.data, {name: leaves[name].grad for name in heads}))
+        (shared, shared_grads), (split, split_grads) = runs
+        assert shared.tobytes() == split.tobytes()
+        for name in heads:
+            np.testing.assert_allclose(shared_grads[name], split_grads[name],
+                                       rtol=ORACLE_TOL, atol=ORACLE_TOL, err_msg=name)
+
+        calls = []
+        conv2d = ad.conv2d
+        monkeypatch.setattr(ad, "conv2d", lambda *a, **kw: calls.append(1) or conv2d(*a, **kw))
+        cfg = NetConfig()
+        predict(GrayImage(rng.uniform(0.0, 1.0, size=(64, 64))), init_params(cfg), cfg)
+        # 17 in pass 1 (4 grids, 4 rates) and 8 in pass 2, whose heads share one
+        assert len(calls) == 25
 
     def test_feedback_path_carries_signal(self):
         params = init_params(SMALL)
