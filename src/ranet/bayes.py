@@ -138,7 +138,7 @@ def bayes_loss(dmap: Tensor, heads: np.ndarray, params: BayesParams) -> Tensor:
     n = probs.shape[0] - 1
 
     weights = tape.constant(probs)  # (N+1, M) in the tape's dtype, so wrapped without a copy
-    target = tape.constant(np.append(np.ones(n), 0.0).reshape(n + 1, 1))
+    target = np.append(np.ones(n), 0.0).reshape(n + 1, 1)
     counts = ad.matmul(weights, ad.reshape(dmap, (h * w, 1)))
-    residual = ad.add(target, ad.scale(counts, -1.0))
+    residual = ad.add(counts, tape.constant(-target))  # |c - t| = |t - c| exactly
     return ad.sum_all(ad.abs_val(residual))

@@ -165,7 +165,13 @@ class ConfigDoc:
 
     Every float field must be finite: a subclass's ``__post_init__`` calls
     this one first, so no config holds a value its own document refuses.
+
+    ``_retired`` maps each key of a setting that older builds wrote and this
+    build fixes to the one JSON value it may still hold; ``from_dict``
+    accepts such a key at that value and refuses it at any other.
     """
+
+    _retired = {}
 
     def __post_init__(self):
         for f in fields(self):
@@ -200,6 +206,13 @@ class ConfigDoc:
     @classmethod
     def _from_keys(cls, doc: dict, prefix: str, read: set):
         """Build from the keys ``prefix + field`` of ``doc``, adding each to ``read``."""
+        for name, fixed in cls._retired.items():
+            key = prefix + name
+            if key in doc:
+                read.add(key)
+                if not (_fits(doc[key], type(fixed)) and doc[key] == fixed):
+                    raise FormatError(f"config key {key!r}: {doc[key]!r:.40} is retired; "
+                                      f"this build fixes it at {fixed!r}")
         hints = get_type_hints(cls)
         kwargs = {}
         for f in fields(cls):

@@ -45,6 +45,10 @@ class NetConfig(ConfigDoc):
     ra: RAConfig = field(default_factory=RAConfig, metadata={"prefix": "ra_"})
     seed: int = 0
 
+    _retired = {"two_tower": False, "widths": list(WIDTHS), "context_channels": CONTEXT_CHANNELS,
+                "aspp_channels": ASPP_CHANNELS, "decoder_channels": DECODER_CHANNELS,
+                "head_channels": HEAD_CHANNELS, "density_bias": DENSITY_BIAS}
+
     def __post_init__(self):
         super().__post_init__()
         if any(g < 1 for g in self.pool_grids):

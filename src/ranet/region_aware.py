@@ -35,6 +35,8 @@ class RAConfig(ConfigDoc):
 
     temperature: float = 1.0
 
+    _retired = {"column_normalize": False}  # similarity is the raw inner product, not the cosine
+
     def __post_init__(self):
         super().__post_init__()
         if not (self.temperature > 0):

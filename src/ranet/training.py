@@ -15,26 +15,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .bayes import BayesParams
-from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, _fits
-from .network import (ASPP_CHANNELS, CONTEXT_CHANNELS, DECODER_CHANNELS, DENSITY_BIAS,
-                      HEAD_CHANNELS, WIDTHS, ModelParams, NetConfig, full_forward, init_params,
-                      padded_shape, param_shapes, pass1_param_names)
+from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene
+from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
+                      param_shapes, pass1_param_names)
 
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 10.0  # batches whose global gradient norm exceeds this are scaled down to it
-
-# Config keys that older builds wrote for settings this build fixes, per
-# block ("" is the top level), with the one value each may still hold as JSON.
-_RETIRED_KEYS = {
-    "": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "clip_norm": CLIP_NORM},
-    "net": {"two_tower": False, "ra_column_normalize": False, "widths": list(WIDTHS),
-            "context_channels": CONTEXT_CHANNELS, "aspp_channels": ASPP_CHANNELS,
-            "decoder_channels": DECODER_CHANNELS, "head_channels": HEAD_CHANNELS,
-            "density_bias": DENSITY_BIAS},
-}
 
 
 class TrainingError(RuntimeError):
@@ -50,6 +39,8 @@ class TrainConfig(ConfigDoc):
     bayes: BayesParams = field(default_factory=BayesParams, metadata={"prefix": ""})
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
+
+    _retired = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "clip_norm": CLIP_NORM}
 
     def __post_init__(self):
         super().__post_init__()
@@ -268,21 +259,6 @@ def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
             fh.write(arr.astype("<f4").tobytes(order="C"))
 
 
-def _drop_retired_keys(doc):
-    """Strip the keys of retired settings from a parsed config block; FormatError
-    if one holds any value but the one this build fixes."""
-    blocks = {"": doc, "net": doc.get("net") if isinstance(doc, dict) else None}
-    for name, retired in _RETIRED_KEYS.items():
-        block = blocks[name] if isinstance(blocks[name], dict) else {}  # else from_dict reports it
-        for key, fixed in retired.items():
-            value = block.pop(key, fixed)
-            if not (_fits(value, type(fixed)) and value == fixed):
-                raise FormatError(
-                    f"config key {key!r}: {value!r:.40} is retired; this build fixes it at {fixed!r}"
-                )
-    return doc
-
-
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob
@@ -313,7 +289,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     try:
-        cfg = TrainConfig.from_dict(_drop_retired_keys(json.loads(r.take(r.u32()).decode("utf-8"))))
+        cfg = TrainConfig.from_dict(json.loads(r.take(r.u32()).decode("utf-8")))
     except ValueError as exc:  # not UTF-8, not JSON, or not a valid config
         raise FormatError(f"{path}: unreadable config block ({exc})") from None
     expected = param_shapes(cfg.net)

@@ -294,8 +294,9 @@ class TestPass2AndFullForward:
 
 class TestEndToEndGradient:
     def test_loss_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(2718)  # its own draws: no other test shifts the probes
         params = init_params(SMALL)
-        img = random_image()
+        img = rng.uniform(0.0, 1.0, size=(16, 16))
         heads = np.array([[4.0, 5.0], [11.0, 9.0]])
 
         def loss_value(p):
@@ -314,6 +315,16 @@ class TestEndToEndGradient:
             down = loss_value(pp)
             return (up - down) / (2 * h)
 
+        # For a smooth float64 loss, central differences at h and h/2 agree to
+        # O(h^2) truncation plus the loss's roundoff over h; a relu/abs kink
+        # inside the interval adds more.
+        noise = 8 * np.finfo(np.float64).eps * abs(float(res.loss.data))
+
+        def smooth_fd(name, idx, h):
+            """The central difference at h, or None where h and h/2 disagree beyond that."""
+            fd = central(name, idx, h)
+            return fd if abs(fd - central(name, idx, h / 2)) <= 1e-6 * abs(fd) + noise / h else None
+
         names = sorted(grads)
         trials = 0
         worst = 0.0
@@ -323,14 +334,15 @@ class TestEndToEndGradient:
                 break
             g = grads[name]
             flat = np.argsort(np.abs(g).ravel())[::-1]
-            idx = np.unravel_index(int(flat[int(RNG.integers(0, max(1, min(5, flat.size))))]), g.shape)
+            idx = np.unravel_index(int(flat[int(rng.integers(0, max(1, min(5, flat.size))))]), g.shape)
             if abs(g[idx]) < 1e-7:
                 continue
-            # h=1e-5 keeps the relu-kink band narrow; float64 roundoff is ~1e-11
-            fd = central(name, idx, 1e-5)
-            fd_half = central(name, idx, 5e-6)
-            if rel_err(fd, fd_half) > 0.05:
-                continue  # relu/abs kink inside the probe interval; not differentiable there
+            # h=1e-5 keeps the relu-kink band narrow
+            fd = smooth_fd(name, idx, 1e-5)
+            if fd is None:  # a kink may lie within 1e-5: probe again 100x closer
+                fd = smooth_fd(name, idx, 1e-7)
+                if fd is None or noise / 1e-7 > 1e-4 * abs(fd):
+                    continue  # kink inside the probe interval, or a difference roundoff hides
             worst = max(worst, rel_err(fd, float(g[idx])))
             trials += 1
         assert trials >= 20

@@ -1,6 +1,7 @@
 """Cropping, optimizer determinism, checkpoint format, and overfit sanity."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from ranet.bayes import BayesParams
 from ranet.core import FormatError, GrayImage, PointAnnotations, Scene
 from ranet.datagen import SceneSpec, gen_scene
 from ranet.network import NetConfig, init_params
+from ranet.region_aware import RAConfig
 from ranet.training import (
     OptState,
     TrainConfig,
@@ -297,7 +299,8 @@ LEGACY_CONFIG_JSON = (
     '"seed": 0, "two_tower": false, "widths": [8, 16, 32, 32]}, "seed": 0}'
 )
 
-COMMITTED_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/checkpoint/infer256.rack"
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_CHECKPOINT = ROOT / "perfbench/checkpoint/infer256.rack"
 
 
 def hand_built_rack(config_json: str, params) -> bytes:
@@ -344,6 +347,18 @@ class TestPinnedConfigFormat:
             loaded, cfg = load_checkpoint(path)
             assert cfg == TrainConfig()
             assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+
+    @pytest.mark.parametrize("config_json", [LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON],
+                             ids=["legacy", "legacy_architecture"])
+    def test_legacy_block_parses_to_the_default_config(self, config_json):
+        assert TrainConfig.from_dict(json.loads(config_json)) == TrainConfig()
+
+    def test_declared_retired_keys_are_the_ones_the_readme_lists(self):
+        declared = {*TrainConfig._retired, *(f"net.{k}" for k in NetConfig._retired),
+                    *(f"net.ra_{k}" for k in RAConfig._retired)}
+        readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+        listed = re.search(r"twelve retired keys \(([^)]*)\)", readme).group(1)
+        assert declared == set(re.findall(r"`([^`]+)`", listed))
 
     def test_committed_legacy_checkpoint_loads(self):
         params, cfg = load_checkpoint(COMMITTED_CHECKPOINT)
