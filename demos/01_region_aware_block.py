@@ -10,7 +10,7 @@ mixtures, which is how the enhancement injects global context.
 
 import numpy as np
 
-from ranet import Tape, RAConfig
+from ranet import Tape
 from ranet.region_aware import enhance, ra_apply, relevance, similarity
 
 np.set_printoptions(precision=4, suppress=True)
@@ -50,7 +50,7 @@ print("convex-combination envelope holds:",
 
 # Temperature flattens the weights toward a uniform mixture.
 for t in (1.0, 10.0, 1e6):
-    wt = enhance(image, priority, RAConfig(temperature=t))
+    wt = enhance(image, priority, temperature=t)
     spread = np.abs(wt - image.mean(axis=1, keepdims=True)).max()
     print(f"temperature {t:>9.9g}: max deviation from row-mean blend {spread:.4f}")
 

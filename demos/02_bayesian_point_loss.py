@@ -10,14 +10,9 @@ normalized in log space so that far pixels cannot underflow.
 
 import numpy as np
 
-from ranet import BayesParams, Tape
+from ranet import Tape
 from ranet import autodiff as ad
-from ranet.bayes import (
-    bayes_loss,
-    expected_counts,
-    margin_pixels,
-    posteriors_from_distances,
-)
+from ranet.bayes import bayes_loss, expected_counts, posteriors_from_distances
 
 np.set_printoptions(precision=5, suppress=True)
 
@@ -39,7 +34,7 @@ print(f"expected head count {per_head[0]:.5f}, background count {bg_count:.5f}")
 
 tape = Tape(np.float64)
 dmap = tape.tensor(density, requires_grad=True)
-loss = bayes_loss(dmap, head, BayesParams(delta=1.0, d_ratio=0.5))
+loss = bayes_loss(dmap, head, delta=1.0, d_ratio=0.5)
 print(f"loss = |1 - {per_head[0]:.5f}| + |0 - {bg_count:.5f}| = {float(loss.data):.5f}")
 
 ad.backward(loss)
@@ -50,11 +45,11 @@ print()
 # part: pixels near heads pull density up, the background pushes it down.
 h = w = 24
 heads = np.array([[6.0, 6.0], [17.0, 14.0], [9.0, 18.0]])
-params = BayesParams(delta=3.0, d_ratio=0.25)
-probs = posteriors_from_distances(h, w, heads, params.delta, margin_pixels(params, h, w))
+delta, d_ratio = 3.0, 0.25
+probs = posteriors_from_distances(h, w, heads, delta, d_ratio * min(h, w))
 tape = Tape(np.float64)
 dmap = tape.tensor(np.full((h, w), 0.01), requires_grad=True)
-ad.backward(bayes_loss(dmap, heads, params))
+ad.backward(bayes_loss(dmap, heads, delta, d_ratio))
 force = -dmap.grad  # direction that REDUCES the loss
 up = force > 0
 print(f"{up.mean():.0%} of pixels pull density upward; they cluster at the heads:")

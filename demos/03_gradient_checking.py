@@ -9,7 +9,7 @@ it, with the arithmetic in float64.
 
 import numpy as np
 
-from ranet import BayesParams, Tape
+from ranet import Tape
 from ranet import autodiff as ad
 from ranet.network import NetConfig, full_forward, init_params
 
@@ -59,12 +59,12 @@ for name, build in [
 print()
 print("end to end: d(loss)/d(parameter) through both passes on a 16x16 input")
 cfg = NetConfig(pool_grids=(1, 2), dilation_rates=(1, 2), seed=1)
-bayes = BayesParams(delta=2.0, d_ratio=0.2)
+delta, d_ratio = 2.0, 0.2
 params = init_params(cfg)
 img = rng.uniform(0, 1, size=(16, 16))
 heads = np.array([[5.0, 4.0], [12.0, 11.0]])
 
-res = full_forward(img, heads, params, cfg, bayes, dtype=np.float64)
+res = full_forward(img, heads, params, cfg, delta, d_ratio, dtype=np.float64)
 ad.backward(res.loss)
 
 for name in ("bb.block1.k", "ctx.fuse.k", "aspp.rate2.k", "dec.out.b", "head.out.k"):
@@ -72,7 +72,7 @@ for name in ("bb.block1.k", "ctx.fuse.k", "aspp.rate2.k", "dec.out.b", "head.out
     idx = np.unravel_index(int(np.abs(g).argmax()), g.shape)
 
     def loss_at(p):
-        return float(full_forward(img, heads, p, cfg, bayes, dtype=np.float64,
+        return float(full_forward(img, heads, p, cfg, delta, d_ratio, dtype=np.float64,
                                   requires_grad=False).loss.data)
 
     pp = {k: v.copy().astype(np.float64) for k, v in params.items()}

@@ -9,7 +9,7 @@ a deterministic scene generator (datagen), the training harness
 """
 
 from .autodiff import GraphError, NumericError, ShapeError, Tape, Tensor
-from .bayes import BayesParams, bayes_loss
+from .bayes import bayes_loss
 from .core import (
     DensityMap,
     FormatError,
@@ -28,7 +28,7 @@ from .core import (
 from .datagen import SceneSpec, gen_dataset, gen_scene, load_split
 from .evaluate import EvalReport, count_metrics, evaluate_checkpoint, evaluate_scenes
 from .network import ForwardResult, NetConfig, forward, full_forward, init_params, predict
-from .region_aware import RAConfig, embed, enhance, ra_apply, relevance, similarity
+from .region_aware import embed, enhance, ra_apply, relevance, similarity
 from .training import (
     EpochStats,
     OptState,

@@ -20,34 +20,12 @@ float64 for verification, float32 for training, which halves their one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tensor
-from .core import ConfigDoc
-
-
-@dataclass(frozen=True)
-class BayesParams(ConfigDoc):
-    """delta: Gaussian spread in pixels; d_ratio: background-band margin as a
-    fraction of the shorter crop side (converted to pixels per evaluation).
-
-    The defaults are the training recipe's.  At 64x64 toy scale, delta 16
-    keeps the posterior force field majority-foreground, which is what makes
-    from-scratch training converge instead of collapsing the density to zero
-    (measured, not theorized)."""
-
-    delta: float = 16.0
-    d_ratio: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (0 < self.d_ratio < 1):
-            raise ValueError(f"d_ratio must lie in (0, 1), got {self.d_ratio}")
 
 
 def posteriors_from_distances(
@@ -77,6 +55,8 @@ def posteriors_from_distances(
     if not np.all(np.isfinite(heads)):
         raise NumericError("posteriors: heads contain non-finite coordinates")
     delta, d = float(delta), float(d)  # Python floats keep float32 arithmetic in float32
+    if not (0 < delta < math.inf and 0 <= d < math.inf):
+        raise ValueError(f"posteriors: need 0 < delta < inf and 0 <= d < inf, got {delta}, {d}")
     n = heads.shape[0]
     if n == 0:
         out = np.ones((1, height * width), dtype=dtype)
@@ -114,14 +94,11 @@ def expected_counts(probs: np.ndarray, density: np.ndarray) -> tuple[np.ndarray,
     return counts[:-1], float(counts[-1])
 
 
-def margin_pixels(params: BayesParams, height: int, width: int) -> float:
-    """The background margin d in pixels for a given crop shape."""
-    return params.d_ratio * min(height, width)
-
-
-def bayes_loss(dmap: Tensor, heads: np.ndarray, params: BayesParams) -> Tensor:
+def bayes_loss(dmap: Tensor, heads: np.ndarray, delta: float, d_ratio: float) -> Tensor:
     """Point-supervision loss on a [H, W] density tensor, differentiable in dmap.
 
+    delta is the Gaussian spread in pixels; d_ratio the background-band
+    margin as a fraction of the shorter side, so d = d_ratio * min(H, W).
     L = sum_n |1 - E[c_n]| + |0 - E[c_0]|.  With no heads the background
     posterior is identically 1 and the loss collapses to |total count|.  The
     posteriors are computed in the dtype of dmap's tape.
@@ -132,9 +109,7 @@ def bayes_loss(dmap: Tensor, heads: np.ndarray, params: BayesParams) -> Tensor:
         raise NumericError("bayes_loss: density map contains non-finite values")
     h, w = dmap.shape
     tape = dmap.tape
-    probs = posteriors_from_distances(
-        h, w, heads, params.delta, margin_pixels(params, h, w), tape.dtype
-    )
+    probs = posteriors_from_distances(h, w, heads, delta, d_ratio * min(h, w), tape.dtype)
     n = probs.shape[0] - 1
 
     weights = tape.constant(probs)  # (N+1, M) in the tape's dtype, so wrapped without a copy

@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError, ShapeError
-from .bayes import BayesParams
 from .core import FormatError, GrayImage, load_image, save_density, save_image
 from .datagen import SceneSpec, gen_dataset, load_split
 from .evaluate import evaluate_checkpoint
 from .network import NetConfig, predict
-from .region_aware import RAConfig, enhance
+from .region_aware import enhance
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
 
 USAGE_ERROR = 1
@@ -37,16 +36,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ranet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    scene_defaults = SceneSpec()
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=scene_defaults.seed)
     p_gen.add_argument("--train", type=int, default=200)
     p_gen.add_argument("--test", type=int, default=50)
-    p_gen.add_argument("--width", type=int, default=64)
-    p_gen.add_argument("--height", type=int, default=64)
-    p_gen.add_argument("--min-heads", type=int, default=1)
-    p_gen.add_argument("--max-heads", type=int, default=15)
-    p_gen.add_argument("--noise", type=float, default=0.05)
+    p_gen.add_argument("--width", type=int, default=scene_defaults.width)
+    p_gen.add_argument("--height", type=int, default=scene_defaults.height)
+    p_gen.add_argument("--min-heads", type=int, default=scene_defaults.min_heads)
+    p_gen.add_argument("--max-heads", type=int, default=scene_defaults.max_heads)
+    p_gen.add_argument("--noise", type=float, default=scene_defaults.noise)
 
     train_defaults = TrainConfig()
     p_train = sub.add_parser("train", help="train on a generated dataset")
@@ -56,11 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=train_defaults.lr)
     p_train.add_argument("--batch", type=int, default=train_defaults.batch_size)
     p_train.add_argument("--crop", type=int, default=train_defaults.crop)
-    p_train.add_argument("--delta", type=float, default=train_defaults.bayes.delta,
+    p_train.add_argument("--delta", type=float, default=train_defaults.delta,
                          help="Gaussian spread of the point-supervision loss, pixels")
-    p_train.add_argument("--d-ratio", type=float, default=train_defaults.bayes.d_ratio,
+    p_train.add_argument("--d-ratio", type=float, default=train_defaults.d_ratio,
                          help="background margin as a fraction of the shorter crop side")
-    p_train.add_argument("--ra-temp", type=float, default=train_defaults.net.ra.temperature)
+    p_train.add_argument("--ra-temp", type=float, default=train_defaults.net.ra_temperature)
     p_train.add_argument("--seed", type=int, default=train_defaults.seed)
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ra.add_argument("--priority", required=True)
     p_ra.add_argument("--out", required=True)
     p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
-    p_ra.add_argument("--temp", type=float, default=RAConfig.temperature)
+    p_ra.add_argument("--temp", type=float, default=NetConfig.ra_temperature)
     return parser
 
 
@@ -117,8 +117,9 @@ def _cmd_train(args) -> int:
         batch_size=args.batch,
         crop=args.crop,
         epochs=args.epochs,
-        bayes=BayesParams(delta=args.delta, d_ratio=args.d_ratio),
-        net=NetConfig(ra=RAConfig(temperature=args.ra_temp), seed=args.seed),
+        delta=args.delta,
+        d_ratio=args.d_ratio,
+        net=NetConfig(ra_temperature=args.ra_temp, seed=args.seed),
         seed=args.seed,
     )
     scenes = load_split(Path(args.data) / "manifest.json", "train")
@@ -151,12 +152,11 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_ra(args) -> int:
-    cfg = RAConfig(temperature=args.temp)
     _check_out_path(args.out, "--out")
     if args.diff:
         _check_out_path(args.diff, "--diff")
     image = load_image(args.image)
-    enhanced = enhance(image.pixels, load_image(args.priority).pixels, cfg)
+    enhanced = enhance(image.pixels, load_image(args.priority).pixels, args.temp)
     save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
     if args.diff:
         _save_peak_normalized(np.abs(enhanced - image.pixels), args.diff)

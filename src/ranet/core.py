@@ -159,9 +159,7 @@ class Scene:
 class ConfigDoc:
     """Mixin giving a config dataclass ``to_dict`` / ``from_dict`` derived from its fields.
 
-    Tuples are stored as lists and a nested config as a nested dict, unless
-    its field carries ``metadata={"prefix": p}``: then its fields are stored
-    flattened into the parent, each key prefixed with ``p``.
+    Tuples are stored as lists and a nested config as a nested dict.
 
     Every float field must be finite: a subclass's ``__post_init__`` calls
     this one first, so no config holds a value its own document refuses.
@@ -183,12 +181,9 @@ class ConfigDoc:
         doc = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if "prefix" in f.metadata:
-                doc.update({f.metadata["prefix"] + k: v for k, v in value.to_dict().items()})
-            elif isinstance(value, ConfigDoc):
-                doc[f.name] = value.to_dict()
-            else:
-                doc[f.name] = list(value) if isinstance(value, tuple) else value
+            if isinstance(value, ConfigDoc):
+                value = value.to_dict()
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
         return doc
 
     @classmethod
@@ -196,39 +191,25 @@ class ConfigDoc:
         """Inverse of ``to_dict``; FormatError on a missing, unknown or mistyped key."""
         if not isinstance(doc, dict):
             raise FormatError(f"{cls.__name__} document must be a JSON object")
-        read: set = set()
-        cfg = cls._from_keys(doc, "", read)
-        unknown = [key for key in doc if key not in read]
-        if unknown:
-            raise FormatError(f"config key {unknown[0]!r} is not a setting of {cls.__name__}")
-        return cfg
-
-    @classmethod
-    def _from_keys(cls, doc: dict, prefix: str, read: set):
-        """Build from the keys ``prefix + field`` of ``doc``, adding each to ``read``."""
-        for name, fixed in cls._retired.items():
-            key = prefix + name
-            if key in doc:
-                read.add(key)
-                if not (_fits(doc[key], type(fixed)) and doc[key] == fixed):
-                    raise FormatError(f"config key {key!r}: {doc[key]!r:.40} is retired; "
-                                      f"this build fixes it at {fixed!r}")
         hints = get_type_hints(cls)
+        names = [f.name for f in fields(cls)]
+        for key, value in doc.items():
+            if key in cls._retired:
+                fixed = cls._retired[key]
+                if not (_fits(value, type(fixed)) and value == fixed):
+                    raise FormatError(f"config key {key!r}: {value!r:.40} is retired; "
+                                      f"this build fixes it at {fixed!r}")
+            elif key not in names:
+                raise FormatError(f"config key {key!r} is not a setting of {cls.__name__}")
         kwargs = {}
-        for f in fields(cls):
-            hint = hints[f.name]
-            if "prefix" in f.metadata:
-                kwargs[f.name] = hint._from_keys(doc, prefix + f.metadata["prefix"], read)
-                continue
-            key = prefix + f.name
+        for key in names:
             if key not in doc:
                 raise FormatError(f"config key {key!r} is missing")
-            read.add(key)
-            value = doc[key]
+            hint, value = hints[key], doc[key]
             if issubclass(get_origin(hint) or hint, ConfigDoc):
-                kwargs[f.name] = hint.from_dict(value)
+                kwargs[key] = hint.from_dict(value)
             elif _fits(value, hint):
-                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+                kwargs[key] = tuple(value) if isinstance(value, list) else value
             else:
                 expected = hint.__name__ if isinstance(hint, type) else hint
                 raise FormatError(f"config key {key!r}: {value!r:.40} is not a valid {expected}")
@@ -409,7 +390,11 @@ def rasterize_density(
 
 
 def save_density(dmap: DensityMap, path) -> None:
-    """Write a density map in the RADM binary format (bit-exact round trip)."""
+    """Write a density map in the RADM binary format (bit-exact round trip).
+
+    ValueError, before the file is opened, if a value exceeds the float32 range."""
+    if dmap.values.max() > np.finfo(np.float32).max:
+        raise ValueError(f"density value {dmap.values.max():.6g} exceeds the float32 range")
     header = DENSITY_MAGIC + np.array(
         [DENSITY_VERSION, dmap.height, dmap.width], dtype="<u4"
     ).tobytes()

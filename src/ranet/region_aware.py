@@ -14,33 +14,12 @@ image path and the priority-map path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .core import ConfigDoc
-
-
-@dataclass(frozen=True)
-class RAConfig(ConfigDoc):
-    """The relevance softmax's temperature.
-
-    temperature divides the similarity matrix before the softmax.  Raw
-    inner products of length-n columns grow with n and saturate the
-    softmax for tall images; sqrt(n) is a reasonable setting there.  The
-    default of 1 applies the softmax to the raw inner products.
-    """
-
-    temperature: float = 1.0
-
-    _retired = {"column_normalize": False}  # similarity is the raw inner product, not the cosine
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.temperature > 0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
 def similarity(q: Tensor, a: Tensor) -> Tensor:
@@ -52,12 +31,20 @@ def similarity(q: Tensor, a: Tensor) -> Tensor:
     return ad.matmul(ad.transpose(q), a)
 
 
-def relevance(s: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
-    """Row-stochastic relevance weights: softmax over priority columns."""
+def relevance(s: Tensor, temperature: float = 1.0) -> Tensor:
+    """Row-stochastic relevance weights: softmax over priority columns.
+
+    temperature divides the similarity matrix before the softmax.  Raw inner
+    products of length-n columns grow with n and saturate the softmax for
+    tall images; sqrt(n) is a reasonable setting there.  The default of 1
+    applies the softmax to the raw inner products.
+    """
     if s.data.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"relevance: similarity matrix must be square, got {s.shape}")
-    if cfg.temperature != 1.0:
-        s = ad.scale(s, 1.0 / cfg.temperature)
+    if not (0 < temperature < math.inf):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    if temperature != 1.0:
+        s = ad.scale(s, 1.0 / temperature)
     return ad.softmax_rows(s)
 
 
@@ -71,15 +58,15 @@ def embed(q: Tensor, w: Tensor) -> Tensor:
     return ad.matmul(q, ad.transpose(w))
 
 
-def ra_apply(q: Tensor, a: Tensor, cfg: RAConfig = RAConfig()) -> Tensor:
+def ra_apply(q: Tensor, a: Tensor, temperature: float = 1.0) -> Tensor:
     """Full block: similarity -> relevance -> embedding, differentiable in q and a."""
     s = similarity(q, a)
-    w = relevance(s, cfg)
+    w = relevance(s, temperature)
     return embed(q, w)
 
 
-def enhance(image: np.ndarray, priority: np.ndarray, cfg: RAConfig = RAConfig()) -> np.ndarray:
+def enhance(image: np.ndarray, priority: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Convenience: run the block on raw arrays at float64, without gradients."""
     tape = Tape(np.float64)
-    out = ra_apply(tape.tensor(image), tape.tensor(priority), cfg)
+    out = ra_apply(tape.tensor(image), tape.tensor(priority), temperature)
     return out.data

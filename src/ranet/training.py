@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .bayes import BayesParams
 from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene
 from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
                       param_shapes, pass1_param_names)
@@ -36,7 +35,13 @@ class TrainConfig(ConfigDoc):
     batch_size: int = 8
     crop: int = 64
     epochs: int = 30
-    bayes: BayesParams = field(default_factory=BayesParams, metadata={"prefix": ""})
+    # The point loss's Gaussian spread in pixels, and its background-band margin
+    # as a fraction of the shorter crop side.  At 64x64 toy scale, delta 16 keeps
+    # the posterior force field majority-foreground, which is what makes
+    # from-scratch training converge instead of collapsing the density to zero
+    # (measured, not theorized).
+    delta: float = 16.0
+    d_ratio: float = 0.1
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
 
@@ -52,6 +57,10 @@ class TrainConfig(ConfigDoc):
             raise ValueError(f"crop must be a multiple of 8 and at least 16, got {self.crop}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (self.delta > 0):
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (0 < self.d_ratio < 1):
+            raise ValueError(f"d_ratio must lie in (0, 1), got {self.d_ratio}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -160,7 +169,8 @@ def train_epoch(
                 crop.annotations.points,
                 params,
                 cfg.net,
-                cfg.bayes,
+                cfg.delta,
+                cfg.d_ratio,
                 dtype=np.float32,
             )
             loss_val = float(res.loss.data)

@@ -12,7 +12,7 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import Tape
-from ranet.bayes import BayesParams, bayes_loss, expected_counts, posteriors_from_distances
+from ranet.bayes import bayes_loss, expected_counts, posteriors_from_distances
 from ranet.cli import main
 from ranet.core import (
     DensityMap,
@@ -29,7 +29,7 @@ from ranet.core import (
 from ranet.datagen import SceneSpec, gen_dataset, load_split
 from ranet.evaluate import EvalReport, count_metrics, evaluate_scenes
 from ranet.network import NetConfig, full_forward, init_params
-from ranet.region_aware import RAConfig, enhance, ra_apply, relevance, similarity
+from ranet.region_aware import enhance, ra_apply, relevance, similarity
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 from conftest import ACCEPTANCE_RESULTS
@@ -67,7 +67,7 @@ class TestCriterion1:
     def test_region_aware_worked_example(self):
         t0 = time.perf_counter()
         tape = Tape(np.float64)
-        out = ra_apply(tape.tensor(np.eye(2)), tape.tensor(np.eye(2)), RAConfig(temperature=1.0))
+        out = ra_apply(tape.tensor(np.eye(2)), tape.tensor(np.eye(2)), temperature=1.0)
         expected = np.array([[0.7311, 0.2689], [0.2689, 0.7311]])
         err = np.abs(out.data - expected).max()
         elapsed = time.perf_counter() - t0
@@ -132,7 +132,7 @@ class TestCriterion4:
         density[0, 0] = 1.0
         tape = Tape(np.float64)
         loss = bayes_loss(tape.tensor(density), np.array([[0.0, 0.0]]),
-                          BayesParams(delta=1.0, d_ratio=0.5))  # d = 0.5 * 2 = 1 px
+                          delta=1.0, d_ratio=0.5)  # d = 0.5 * 2 = 1 px
         err = abs(float(loss.data) - 0.75508)
         elapsed = time.perf_counter() - t0
         record(4, err < 1e-4 and elapsed < 1.0,
@@ -293,7 +293,7 @@ class TestCriterion6:
                 check_gradient(fq, q_arr, q.grad, 2, RNG),
                 check_gradient(fa, a_arr, a.grad, 2, RNG),
             )
-        params_b = BayesParams(delta=1.5, d_ratio=0.3)
+        params_b = (1.5, 0.3)  # delta, d_ratio
         heads_b = RNG.uniform(0, 3, size=(2, 2))
         for _ in range(self.N_TRIALS):
             density = RNG.uniform(0.05, 1.0, size=(4, 4))
@@ -301,7 +301,7 @@ class TestCriterion6:
             def build(dv):
                 t = Tape(np.float64)
                 dmap = t.tensor(dv, requires_grad=True)
-                return dmap, bayes_loss(dmap, heads_b, params_b)
+                return dmap, bayes_loss(dmap, heads_b, *params_b)
 
             dmap, loss = build(density)
             ad.backward(loss)
@@ -313,16 +313,16 @@ class TestCriterion6:
 
         # end to end: loss o network on 16x16
         cfg = NetConfig(pool_grids=(1, 2), dilation_rates=(1, 2), seed=3)
-        bayes = BayesParams(delta=2.0, d_ratio=0.15)
+        bayes = (2.0, 0.15)  # delta, d_ratio
         params = init_params(cfg)
         img = RNG.uniform(0, 1, size=(16, 16))
         heads = np.array([[4.0, 5.0], [11.0, 9.0]])
-        res = full_forward(img, heads, params, cfg, bayes, dtype=np.float64)
+        res = full_forward(img, heads, params, cfg, *bayes, dtype=np.float64)
         ad.backward(res.loss)
         grads = {k: t.grad for k, t in res.leaves.items() if t.grad is not None}
 
         def loss_at(p):
-            return float(full_forward(img, heads, p, cfg, bayes, dtype=np.float64,
+            return float(full_forward(img, heads, p, cfg, *bayes, dtype=np.float64,
                                       requires_grad=False).loss.data)
 
         names = sorted(grads)

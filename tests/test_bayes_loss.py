@@ -9,13 +9,8 @@ import pytest
 from ranet import autodiff as ad
 from ranet import bayes
 from ranet.autodiff import NumericError, ShapeError, Tape
-from ranet.bayes import (
-    BayesParams,
-    bayes_loss,
-    expected_counts,
-    margin_pixels,
-    posteriors_from_distances,
-)
+from ranet.bayes import bayes_loss, expected_counts, posteriors_from_distances
+from ranet.training import TrainConfig
 
 from oracles import bf_bayes, check_gradient, pixel_list, ref_posteriors
 
@@ -73,6 +68,15 @@ class TestPosteriors:
     def test_empty_grid_rejected(self, height, width):
         with pytest.raises(ShapeError, match="grid"):
             posteriors_from_distances(height, width, np.array([[1.0, 2.0]]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("delta, d", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, -1.0),
+                                          (1.0, np.inf)],
+                             ids=["delta0", "delta-neg", "delta-nan", "d-neg", "d-inf"])
+    def test_bad_spread_or_margin_rejected(self, delta, d):
+        # with or without heads: no ZeroDivisionError, no silent NaN posteriors
+        for heads in (np.array([[1.0, 2.0]]), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="delta"):
+                posteriors_from_distances(3, 3, heads, delta, d)
 
 
 def _random_heads(n, h, w, rng):
@@ -199,12 +203,12 @@ class TestExpectedCounts:
 class TestBayesLoss:
     def params_for_unit_margin(self, side=2):
         # d_ratio * side = 1 pixel
-        return BayesParams(delta=1.0, d_ratio=1.0 / side)
+        return 1.0, 1.0 / side
 
     def test_zero_density_single_head(self):
         tape = Tape(np.float64)
         dmap = tape.tensor(np.zeros((2, 2)), requires_grad=True)
-        loss = bayes_loss(dmap, np.array([[0.0, 0.0]]), self.params_for_unit_margin())
+        loss = bayes_loss(dmap, np.array([[0.0, 0.0]]), *self.params_for_unit_margin())
         assert float(loss.data) == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_example_value(self):
@@ -212,7 +216,7 @@ class TestBayesLoss:
         density[0, 0] = 1.0
         tape = Tape(np.float64)
         dmap = tape.tensor(density, requires_grad=True)
-        loss = bayes_loss(dmap, np.array([[0.0, 0.0]]), self.params_for_unit_margin())
+        loss = bayes_loss(dmap, np.array([[0.0, 0.0]]), *self.params_for_unit_margin())
         assert float(loss.data) == pytest.approx(0.75508, abs=1e-4)
 
     def test_matches_brute_force_random(self):
@@ -221,10 +225,10 @@ class TestBayesLoss:
             n = int(RNG.integers(0, 5))
             heads = RNG.uniform(0, min(h, w) - 1, size=(n, 2))
             density = RNG.uniform(0, 1, size=(h, w))
-            params = BayesParams(delta=1.7, d_ratio=0.3)
+            delta, d_ratio = 1.7, 0.3
             tape = Tape(np.float64)
-            loss = bayes_loss(tape.tensor(density), heads, params)
-            d = margin_pixels(params, h, w)
+            loss = bayes_loss(tape.tensor(density), heads, delta, d_ratio)
+            d = d_ratio * min(h, w)
             _, _, _, expect = bf_bayes(density, [tuple(p) for p in heads], 1.7, d)
             assert float(loss.data) == pytest.approx(expect, rel=1e-9)
 
@@ -232,7 +236,7 @@ class TestBayesLoss:
         density = RNG.uniform(0, 1, size=(4, 4))
         tape = Tape(np.float64)
         dmap = tape.tensor(density, requires_grad=True)
-        loss = bayes_loss(dmap, np.zeros((0, 2)), BayesParams(delta=2.0, d_ratio=0.25))
+        loss = bayes_loss(dmap, np.zeros((0, 2)), 2.0, 0.25)
         assert float(loss.data) == pytest.approx(density.sum(), rel=1e-12)
         ad.backward(loss)
         np.testing.assert_allclose(dmap.grad, np.ones((4, 4)), atol=1e-12)
@@ -248,7 +252,7 @@ class TestBayesLoss:
         bg_count = probs[1, idx] * density[idx]
         tape = Tape(np.float64)
         loss = bayes_loss(
-            tape.tensor(density.reshape(4, 4)), heads, BayesParams(delta=1.0, d_ratio=0.25)
+            tape.tensor(density.reshape(4, 4)), heads, 1.0, 0.25
         )
         assert float(loss.data) == pytest.approx(bg_count, rel=1e-9)  # only bg term left
 
@@ -273,16 +277,16 @@ class TestBayesLoss:
         for _ in range(10):
             density = RNG.uniform(0.05, 1.0, size=(4, 4))
             heads = RNG.uniform(0, 3, size=(2, 2))
-            params = BayesParams(delta=1.5, d_ratio=0.3)
+            delta, d_ratio = 1.5, 0.3
 
             def run(dv):
                 tape = Tape(np.float64)
                 dmap = tape.tensor(dv, requires_grad=True)
-                return dmap, bayes_loss(dmap, heads, params)
+                return dmap, bayes_loss(dmap, heads, delta, d_ratio)
 
             dmap, loss = run(density)
             # keep clear of the |.| kink: residuals are O(1) here
-            d = margin_pixels(params, 4, 4)
+            d = d_ratio * min(4, 4)
             _, per_head, bg, _ = bf_bayes(density, [tuple(p) for p in heads], 1.5, d)
             assert min(abs(1 - c) for c in per_head) > 1e-3 and abs(bg) > 1e-3
             ad.backward(loss)
@@ -295,15 +299,15 @@ class TestBayesLoss:
         bad.data = bad.data.copy()
         bad.data[0, 0] = np.nan
         with pytest.raises(NumericError):
-            bayes_loss(bad, np.array([[0.0, 0.0]]), BayesParams(delta=1.0, d_ratio=0.5))
+            bayes_loss(bad, np.array([[0.0, 0.0]]), 1.0, 0.5)
 
     def test_bad_heads_rejected_at_entry(self):
         dmap = Tape(np.float64).tensor(np.zeros((3, 3)))
-        params = BayesParams(delta=1.0, d_ratio=0.5)
+        params = (1.0, 0.5)  # delta, d_ratio
         with pytest.raises(ShapeError, match="heads"):
-            bayes_loss(dmap, np.array([1.0, 2.0, 3.0]), params)
+            bayes_loss(dmap, np.array([1.0, 2.0, 3.0]), *params)
         with pytest.raises(NumericError, match="heads"):
-            bayes_loss(dmap, np.array([[np.nan, 1.0]]), params)
+            bayes_loss(dmap, np.array([[np.nan, 1.0]]), *params)
 
     def test_posteriors_called_once_through_the_module(self, monkeypatch):
         # the benchmark traces the loss's posteriors at this module attribute
@@ -317,7 +321,7 @@ class TestBayesLoss:
         monkeypatch.setattr(bayes, "posteriors_from_distances", counting)
         tape = Tape(np.float64)
         for heads in (np.array([[1.0, 2.0], [0.5, 0.5]]), np.zeros((0, 2))):
-            bayes_loss(tape.tensor(np.ones((4, 4))), heads, BayesParams(delta=1.0, d_ratio=0.25))
+            bayes_loss(tape.tensor(np.ones((4, 4))), heads, 1.0, 0.25)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -341,16 +345,15 @@ class TestBayesLoss:
         monkeypatch.setattr(bayes, "posteriors_from_distances", spy)
         monkeypatch.setattr(Tape, "constant", recording_constant)
         tape = Tape(dtype)
-        bayes_loss(tape.tensor(np.ones((4, 4))), np.array([[1.0, 2.0]]),
-                   BayesParams(delta=1.0, d_ratio=0.25))
+        bayes_loss(tape.tensor(np.ones((4, 4))), np.array([[1.0, 2.0]]), 1.0, 0.25)
         assert requested == [np.dtype(dtype)]
         assert made[0].dtype == dtype and wrapped[0] is made[0]
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            BayesParams(delta=0.0)
+            TrainConfig(delta=0.0)
         with pytest.raises(ValueError):
-            BayesParams(d_ratio=1.0)
+            TrainConfig(d_ratio=1.0)
 
 
 class TestPosteriorInvariantsAtScale:

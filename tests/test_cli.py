@@ -10,9 +10,9 @@ import pytest
 from ranet import cli
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
-from ranet.datagen import load_manifest
-from ranet.network import predict
-from ranet.training import load_checkpoint, save_checkpoint
+from ranet.datagen import SceneSpec, load_manifest
+from ranet.network import NetConfig, predict
+from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
 # a default-recipe checkpoint (grids up to 6), read only
 INFER256 = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint" / "infer256.rack"
@@ -43,6 +43,20 @@ def checkpoint(dataset, tmp_path_factory):
     ])
     assert rc == 0
     return ckpt
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parse = cli.build_parser().parse_args
+    gen = parse(["gen", "--out", "d"])
+    spec = SceneSpec()
+    assert ((gen.width, gen.height, gen.min_heads, gen.max_heads, gen.noise, gen.seed)
+            == (spec.width, spec.height, spec.min_heads, spec.max_heads, spec.noise, spec.seed))
+    tr = parse(["train", "--data", "d", "--out", "m.rack"])
+    assert TrainConfig(lr=tr.lr, batch_size=tr.batch, crop=tr.crop, epochs=tr.epochs,
+                       delta=tr.delta, d_ratio=tr.d_ratio, seed=tr.seed,
+                       net=NetConfig(ra_temperature=tr.ra_temp, seed=tr.seed)) == TrainConfig()
+    ra = parse(["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"])
+    assert ra.temp == NetConfig().ra_temperature
 
 
 class TestGen:

@@ -245,6 +245,19 @@ class TestDensityIO:
         with pytest.raises(FormatError):
             load_density(p)
 
+    def test_value_beyond_float32_refused_before_writing(self, tmp_path):
+        # float32 would store it as inf, which load_density refuses
+        p = tmp_path / "big.radm"
+        with pytest.raises(ValueError, match="float32"):
+            save_density(DensityMap(np.full((2, 2), 1e39)), p)
+        assert not p.exists()
+
+    def test_float32_maximum_round_trips(self, tmp_path):
+        p = tmp_path / "max.radm"
+        dm = DensityMap(np.full((1, 2), np.finfo(np.float32).max, dtype=np.float64))
+        save_density(dm, p)
+        assert load_density(p).values.tobytes() == dm.values.tobytes()
+
     @pytest.mark.parametrize("shape,values", [
         ((1, 2), [0.5, -1.0]),
         ((1, 2), [0.5, np.nan]),

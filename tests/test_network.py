@@ -5,7 +5,6 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
-from ranet.bayes import BayesParams
 from ranet.core import FormatError, GrayImage
 from ranet import network
 from ranet.network import (
@@ -24,7 +23,7 @@ from oracles import ORACLE_TOL, rel_err
 RNG = np.random.default_rng(2718)
 
 SMALL = NetConfig(pool_grids=(1, 2), dilation_rates=(1, 2), seed=3)
-BAYES = BayesParams(delta=2.0, d_ratio=0.15)
+BAYES = (2.0, 0.15)  # delta, d_ratio
 
 
 def random_image(h=16, w=16):
@@ -119,7 +118,7 @@ class TestPass1:
     def test_indivisible_side_rejected_with_padding_hint(self):
         params = init_params(SMALL)
         with pytest.raises(ShapeError, match="24x24"):
-            full_forward(random_image(20, 24), np.zeros((0, 2)), params, SMALL, BAYES)
+            full_forward(random_image(20, 24), np.zeros((0, 2)), params, SMALL, *BAYES)
 
     def test_grid_exceeding_feature_map_runs(self):
         cfg = NetConfig(seed=1)  # grids up to 6, but 16x16 input -> 2x2 features
@@ -164,7 +163,7 @@ class TestPaddedShape:
             dmap, _ = predict(GrayImage(random_image(*shape)), params, cfg)
             assert (dmap.height, dmap.width) == shape
         with pytest.raises(ShapeError, match=r"multiples of 8 and at least 16.*24x24"):
-            full_forward(random_image(20, 24), np.zeros((0, 2)), params, cfg, BAYES)
+            full_forward(random_image(20, 24), np.zeros((0, 2)), params, cfg, *BAYES)
 
     @pytest.mark.parametrize("shape", [(20, 24), (30, 26)], ids=["20x24", "30x26"])
     def test_predict_pads_any_size_and_crops_back(self, shape):
@@ -185,54 +184,54 @@ class TestFeedback:
         col = tape.tensor(RNG.uniform(size=(9, 1)))
         prio = tape.tensor(RNG.uniform(size=(9, 1)))
         np.testing.assert_allclose(
-            ra_apply(col, prio, SMALL.ra).data, col.data, atol=1e-12
+            ra_apply(col, prio, SMALL.ra_temperature).data, col.data, atol=1e-12
         )
 
     def test_zero_image_gives_zero(self):
         tape = Tape(np.float64)
         z = tape.tensor(np.zeros((6, 6)))
         prio = tape.tensor(RNG.uniform(size=(6, 6)))
-        np.testing.assert_array_equal(ra_apply(z, prio, SMALL.ra).data, 0.0)
+        np.testing.assert_array_equal(ra_apply(z, prio, SMALL.ra_temperature).data, 0.0)
 
     def test_delegates_bit_for_bit(self, monkeypatch):
-        # the forward pass enhances the image itself with ra_apply under cfg.ra
+        # the forward pass enhances the image itself with ra_apply at cfg.ra_temperature
         calls = []
 
-        def recording(q, a, cfg):
-            out = ra_apply(q, a, cfg)
-            calls.append((q.data.copy(), a.data.copy(), cfg, out.data.copy()))
+        def recording(q, a, temperature):
+            out = ra_apply(q, a, temperature)
+            calls.append((q.data.copy(), a.data.copy(), temperature, out.data.copy()))
             return out
 
         monkeypatch.setattr(network, "ra_apply", recording)
         img = random_image()
         predict(GrayImage(img), init_params(SMALL), SMALL, dtype=np.float64)
-        [(q_arr, a_arr, cfg, via_net)] = calls
-        assert cfg is SMALL.ra
+        [(q_arr, a_arr, temperature, via_net)] = calls
+        assert temperature is SMALL.ra_temperature
         assert q_arr.tobytes() == img.tobytes()
         tape = Tape(np.float64)
-        direct = ra_apply(tape.tensor(q_arr), tape.tensor(a_arr), SMALL.ra).data
+        direct = ra_apply(tape.tensor(q_arr), tape.tensor(a_arr), SMALL.ra_temperature).data
         assert via_net.tobytes() == direct.tobytes()
 
 
 class TestPass2AndFullForward:
     def test_density_shape_and_nonnegative(self):
         params = init_params(SMALL)
-        res = full_forward(random_image(), np.zeros((0, 2)), params, SMALL, BAYES)
+        res = full_forward(random_image(), np.zeros((0, 2)), params, SMALL, *BAYES)
         assert res.density.shape == (16, 16)
         assert res.density.data.min() >= 0.0
 
     def test_loss_finite_nonnegative_on_random_init(self):
         params = init_params(SMALL)
         heads = RNG.uniform(0, 15, size=(3, 2))
-        res = full_forward(random_image(), heads, params, SMALL, BAYES)
+        res = full_forward(random_image(), heads, params, SMALL, *BAYES)
         assert np.isfinite(res.loss.data) and float(res.loss.data) >= 0.0
 
     def test_identical_calls_identical_loss(self):
         params = init_params(SMALL)
         img = random_image()
         heads = RNG.uniform(0, 15, size=(2, 2))
-        l1 = full_forward(img, heads, params, SMALL, BAYES).loss.data
-        l2 = full_forward(img, heads, params, SMALL, BAYES).loss.data
+        l1 = full_forward(img, heads, params, SMALL, *BAYES).loss.data
+        l2 = full_forward(img, heads, params, SMALL, *BAYES).loss.data
         assert l1.tobytes() == l2.tobytes()
 
     def test_predict_matches_full_forward(self):
@@ -241,7 +240,7 @@ class TestPass2AndFullForward:
         img_arr = random_image(64, 64)
         dm, pm = predict(GrayImage(img_arr), params, cfg)
         res = full_forward(
-            img_arr, np.zeros((0, 2)), params, cfg, BAYES, requires_grad=False
+            img_arr, np.zeros((0, 2)), params, cfg, *BAYES, requires_grad=False
         )
         # one forward underneath both: the same float32 values, bit for bit
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
@@ -279,7 +278,7 @@ class TestPass2AndFullForward:
     def test_feedback_path_carries_signal(self):
         params = init_params(SMALL)
         heads = RNG.uniform(0, 15, size=(4, 2))
-        res = full_forward(random_image(), heads, params, SMALL, BAYES)
+        res = full_forward(random_image(), heads, params, SMALL, *BAYES)
         ad.backward(res.loss)
         norms = {
             name: float(np.linalg.norm(res.leaves[name].grad))
@@ -300,10 +299,10 @@ class TestEndToEndGradient:
         heads = np.array([[4.0, 5.0], [11.0, 9.0]])
 
         def loss_value(p):
-            res = full_forward(img, heads, p, SMALL, BAYES, dtype=np.float64)
+            res = full_forward(img, heads, p, SMALL, *BAYES, dtype=np.float64)
             return float(res.loss.data)
 
-        res = full_forward(img, heads, params, SMALL, BAYES, dtype=np.float64)
+        res = full_forward(img, heads, params, SMALL, *BAYES, dtype=np.float64)
         ad.backward(res.loss)
         grads = {k: t.grad for k, t in res.leaves.items() if t.grad is not None}
 

@@ -5,8 +5,8 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
+from ranet.network import NetConfig
 from ranet.region_aware import (
-    RAConfig,
     embed,
     enhance,
     ra_apply,
@@ -73,7 +73,7 @@ class TestRelevance:
         a_arr = RNG.uniform(size=(6, 6))
         tape = Tape()
         s = similarity(tape.tensor(q_arr), tape.tensor(a_arr))
-        w = relevance(s, RAConfig(temperature=1e6))
+        w = relevance(s, temperature=1e6)
         assert np.abs(w.data - 1.0 / 6.0).max() < 1e-6
 
     def test_shift_invariance_per_row(self):
@@ -87,12 +87,17 @@ class TestRelevance:
     def test_matches_brute_force_with_temperature(self):
         s_arr = RNG.normal(size=(5, 5))
         tape = Tape()
-        w = relevance(tape.tensor(s_arr), RAConfig(temperature=2.5))
+        w = relevance(tape.tensor(s_arr), temperature=2.5)
         np.testing.assert_allclose(w.data, bf_relevance(s_arr, 2.5), atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RAConfig(temperature=0.0)
+            NetConfig(ra_temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            relevance(Tape().tensor(np.zeros((2, 2))), temperature)
 
 
 class TestEmbed:

@@ -1,5 +1,6 @@
 """Cropping, optimizer determinism, checkpoint format, and overfit sanity."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,11 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranet.bayes import BayesParams
 from ranet.core import FormatError, GrayImage, PointAnnotations, Scene
 from ranet.datagen import SceneSpec, gen_scene
 from ranet.network import NetConfig, init_params
-from ranet.region_aware import RAConfig
 from ranet.training import (
     OptState,
     TrainConfig,
@@ -26,7 +25,7 @@ from ranet.training import (
 RNG = np.random.default_rng(4242)
 
 FAST_NET = NetConfig(pool_grids=(1, 2), dilation_rates=(1, 2), seed=0)
-FAST_BAYES = BayesParams(delta=4.0, d_ratio=0.25)
+FAST_BAYES = dict(delta=4.0, d_ratio=0.25)
 
 
 def small_scenes(n, seed=13, size=32):
@@ -99,7 +98,7 @@ class TestTrainEpoch:
     def cfg(self, **kw):
         base = dict(
             lr=1e-3, batch_size=2, crop=32, epochs=1, seed=5,
-            bayes=FAST_BAYES, net=FAST_NET,
+            **FAST_BAYES, net=FAST_NET,
         )
         base.update(kw)
         return TrainConfig(**base)
@@ -155,7 +154,7 @@ class TestTrainEpoch:
         scenes = [dense, dense]
         cfg = TrainConfig(
             lr=3e-3, batch_size=1, crop=64, epochs=200, seed=0,
-            bayes=BayesParams(delta=4.0, d_ratio=0.45),
+            delta=4.0, d_ratio=0.45,
             net=NetConfig(seed=0),
         )
         params = init_params(cfg.net)
@@ -175,7 +174,7 @@ class TestTrainDriver:
     def test_telemetry_lines(self, capsys):
         scenes = small_scenes(3)
         cfg = TrainConfig(lr=1e-3, batch_size=2, crop=32, epochs=2, seed=1,
-                          bayes=FAST_BAYES, net=FAST_NET)
+                          **FAST_BAYES, net=FAST_NET)
         train(scenes, cfg)
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
@@ -185,7 +184,7 @@ class TestTrainDriver:
     def test_csv_log(self, tmp_path):
         scenes = small_scenes(2)
         cfg = TrainConfig(lr=1e-3, batch_size=2, crop=32, epochs=2, seed=1,
-                          bayes=FAST_BAYES, net=FAST_NET)
+                          **FAST_BAYES, net=FAST_NET)
         log = tmp_path / "log.csv"
         train(scenes, cfg, log_path=log, emit=None)
         rows = log.read_text().strip().splitlines()
@@ -194,7 +193,7 @@ class TestTrainDriver:
 
     def test_crop_larger_than_images_rejected(self):
         scenes = small_scenes(2, size=32)
-        cfg = TrainConfig(crop=64, epochs=1, bayes=FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(crop=64, epochs=1, **FAST_BAYES, net=FAST_NET)
         with pytest.raises(TrainingError):
             train(scenes, cfg, emit=None)
 
@@ -213,14 +212,14 @@ class TestTrainDriver:
             TrainConfig(crop=20)
 
     def test_bayes_defaults_are_the_training_recipe(self):
-        assert BayesParams() == TrainConfig().bayes == BayesParams(delta=16.0, d_ratio=0.1)
+        assert (TrainConfig().delta, TrainConfig().d_ratio) == (16.0, 0.1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
 
 class TestCheckpointFormat:
     def test_round_trip_bitwise(self, tmp_path):
-        cfg = TrainConfig(bayes=FAST_BAYES, net=FAST_NET, epochs=3, seed=7)
+        cfg = TrainConfig(**FAST_BAYES, net=FAST_NET, epochs=3, seed=7)
         params = init_params(cfg.net)
         path = tmp_path / "model.rack"
         save_checkpoint(params, cfg, path)
@@ -233,7 +232,7 @@ class TestCheckpointFormat:
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = TrainConfig(
             lr=2e-3, batch_size=4, crop=32, epochs=9, seed=3,
-            bayes=BayesParams(delta=3.5, d_ratio=0.2),
+            delta=3.5, d_ratio=0.2,
             net=NetConfig(pool_grids=(1, 3), seed=2),
         )
         params = init_params(cfg.net)
@@ -243,7 +242,7 @@ class TestCheckpointFormat:
         assert cfg2 == cfg
 
     def test_magic_layout(self, tmp_path):
-        cfg = TrainConfig(bayes=FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(**FAST_BAYES, net=FAST_NET)
         path = tmp_path / "model.rack"
         save_checkpoint(init_params(cfg.net), cfg, path)
         blob = path.read_bytes()
@@ -251,7 +250,7 @@ class TestCheckpointFormat:
         assert np.frombuffer(blob[4:8], dtype="<u4")[0] == 1
 
     def test_corrupted_magic_rejected(self, tmp_path):
-        cfg = TrainConfig(bayes=FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(**FAST_BAYES, net=FAST_NET)
         path = tmp_path / "model.rack"
         save_checkpoint(init_params(cfg.net), cfg, path)
         blob = bytearray(path.read_bytes())
@@ -261,7 +260,7 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
-        cfg = TrainConfig(bayes=FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(**FAST_BAYES, net=FAST_NET)
         path = tmp_path / "model.rack"
         save_checkpoint(init_params(cfg.net), cfg, path)
         blob = path.read_bytes()
@@ -319,6 +318,16 @@ class TestPinnedConfigFormat:
     def test_default_config_serializes_to_pinned_json(self):
         assert json.dumps(TrainConfig().to_dict(), sort_keys=True) == DEFAULT_CONFIG_JSON
 
+    @pytest.mark.parametrize("config", [TrainConfig(), NetConfig()], ids=["train", "net"])
+    def test_document_keys_are_the_field_names(self, config):
+        assert list(config.to_dict()) == [f.name for f in dataclasses.fields(config)]
+
+    def test_seventeen_settable_values(self):
+        # the nested net block holds settings but is not one
+        names = [f.name for cls in (TrainConfig, NetConfig, SceneSpec)
+                 for f in dataclasses.fields(cls) if f.name != "net"]
+        assert len(names) == 17
+
     def test_pinned_json_round_trips(self):
         cfg = TrainConfig.from_dict(json.loads(DEFAULT_CONFIG_JSON))
         assert cfg == TrainConfig()
@@ -354,8 +363,7 @@ class TestPinnedConfigFormat:
         assert TrainConfig.from_dict(json.loads(config_json)) == TrainConfig()
 
     def test_declared_retired_keys_are_the_ones_the_readme_lists(self):
-        declared = {*TrainConfig._retired, *(f"net.{k}" for k in NetConfig._retired),
-                    *(f"net.ra_{k}" for k in RAConfig._retired)}
+        declared = {*TrainConfig._retired, *(f"net.{k}" for k in NetConfig._retired)}
         readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
         listed = re.search(r"twelve retired keys \(([^)]*)\)", readme).group(1)
         assert declared == set(re.findall(r"`([^`]+)`", listed))
@@ -406,9 +414,9 @@ class TestPinnedConfigFormat:
 
     @pytest.mark.parametrize("block,key", [
         (None, "momentum"),              # no such setting
-        (None, "deltaa"),                # a misspelled flattened BayesParams key
-        ("net", "ra_temprature"),        # a misspelled flattened RAConfig key
-        ("net", "temperature"),          # an RAConfig key without its prefix
+        (None, "deltaa"),                # a misspelled key
+        ("net", "ra_temprature"),        # a misspelled key in the nested block
+        ("net", "temperature"),          # a key without its ra_ prefix
         ("net", "beta1"),                # a retired key in the wrong block
     ])
     def test_unknown_key_is_format_error(self, block, key):
