@@ -8,23 +8,34 @@ per operand.  The tape, not the primitive, checks that all operands share
 it, drops the edges of operands that do not require gradient, and adds
 each vjp into its operand's .grad.  A primitive's forward builds only its
 output: an array that only a vjp needs (relu's mask, softplus's logistic,
-abs_val's sign, conv2d's flipped kernel) is built inside that vjp, so a
+abs_val's sign, conv2d's widened g) is built inside that vjp, so a
 tape without gradients does forward work only.  Execution order is
 already a topological order of the graph, so reverse-mode differentiation
 replays the records once, back to front.  No broadcasting: shapes must
 match exactly except where a primitive says otherwise.
 
-Spatial primitives are matrix products where that is the work: conv2d
-multiplies the kernel, seen as [F, C*kh*kw], by the im2col matrix of the
-kh*kw shifted windows of the zero-padded input (for a 1x1 kernel, the input
-itself).  The kernel gradient is g times that matrix transposed.  The input
-gradient is the same-size convolution of g by the kernel flipped in both
-spatial axes with F and C swapped, at the same dilation (exact because the
-sides are odd and the padding symmetric), so one im2col lowering serves all
-three products.  Bilinear resampling and adaptive mean pooling apply one
-matrix per axis, y = M_y x M_x^T per channel, with backward M_y^T g M_x.
-avgpool adds each window's strided slices along W, then along H, scaling
-by 1/w after each axis, and its backward spreads g (1/w)^2 over the window.
+Spatial primitives are matrix products where that is the work.  conv2d
+zero-pads its input once, to [C, Hp, wp], and its record saves that padded
+input, not a column matrix.  The forward multiplies the kernel, seen as
+[F, C*kh*kw], by the im2col matrix of the kh*kw shifted H x W windows of the
+padded input (for a 1x1 kernel, the input itself), a temporary of the
+forward.  Both gradients read the padded input flattened to [C, Hp*wp]: tap
+(i, j) is the shift o = i*d*wp + j*d, so its view of every output position
+is one slice of length L = (H-1)*wp + W, and g is widened to that layout by
+wp - W zero columns after each row.  The kernel gradient of a tap is the
+widened g times the transposed slice at its offset.  The input gradient is
+one product of the stacked tap kernels [kh*kw*C, F] with the widened g,
+whose kh*kw row blocks are added into a zero [C, Hp*wp] buffer at their
+offsets, cropped once; with one tap the product is the gradient.  The zero
+columns make the shifted views exact: a slice also covers the wp - W
+positions between two output rows, which are no output, and the zeros give
+them no weight.  The forward keeps its H x W windows rather than the same
+slices, because a product over L instead of H*W columns changes the float64
+BLAS summation order, and predict would not stay bit-identical.  Bilinear
+resampling and adaptive mean pooling apply one matrix per axis,
+y = M_y x M_x^T per channel, with backward M_y^T g M_x.  avgpool adds each
+window's strided slices along W, then along H, scaling by 1/w after each
+axis, and its backward spreads g (1/w)^2 over the window.
 Backward drops each record once its edges have run, freeing the arrays
 they saved.  A tensor's .grad is its own array: the first contribution is
 copied, so a vjp may return its incoming gradient or a view of it.
@@ -164,6 +175,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     _require_finite(x.data, "scale")
+    if not abs(float(c)) <= float(np.finfo(x.tape.dtype).max):
+        raise ValueError(f"scale: factor {c:g} is not finite in {x.tape.dtype}")
     c = x.tape.dtype.type(c)
     return _result(x.data * c, (x, lambda g: g * c))
 
@@ -311,19 +324,74 @@ def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
-    """[C,H,W] -> [C*kh*kw, H*W]; row (c, i, j) is channel c's window under tap (i, j)."""
-    C, H, W = x.shape
-    if kh == kw == 1:  # the one window is the input itself: no padding, no copy
-        return x.reshape(C, H * W)
+def _taps(H: int, W: int, kh: int, kw: int, d: int):
+    """Tap geometry of a same-size convolution on its flattened zero-padded input.
+
+    Returns the padding (ph, pw), the padded row width wp, the run length
+    L = (H - 1) * wp + W that spans the H output rows at stride wp, and the
+    flat offset i*d*wp + j*d of each tap (i, j), in row-major tap order.
+    """
     ph, pw = d * (kh // 2), d * (kw // 2)
+    wp = W + 2 * pw
+    offsets = [i * d * wp + j * d for i in range(kh) for j in range(kw)]
+    return ph, pw, wp, (H - 1) * wp + W, offsets
+
+
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """[C,H,W] -> [C,H+2ph,W+2pw] with zero borders; x itself when there are none."""
+    if ph == pw == 0:
+        return x
+    C, H, W = x.shape
     xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
     xp[:, ph : ph + H, pw : pw + W] = x
-    cols = np.empty((C, kh, kw, H, W), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i * d : i * d + H, j * d : j * d + W]
-    return cols.reshape(C * kh * kw, H * W)
+    return xp
+
+
+def _im2col(xp: np.ndarray, offsets: list[int], H: int, W: int) -> np.ndarray:
+    """Padded [C,Hp,wp] -> [C*T, H*W]; row (c, t) is channel c's window under tap t."""
+    C, _, wp = xp.shape
+    if len(offsets) == 1:  # the one window is the input itself: no copy
+        return xp.reshape(C, H * W)
+    cols = np.empty((C, len(offsets), H, W), dtype=xp.dtype)
+    for t, o in enumerate(offsets):
+        r, c = divmod(o, wp)  # the window's top-left corner, as c < wp
+        cols[:, t] = xp[:, r : r + H, c : c + W]
+    return cols.reshape(C * len(offsets), H * W)
+
+
+def _widen(g: np.ndarray, wp: int, L: int) -> np.ndarray:
+    """[F,H,W] -> [F, L]: the rows of g at stride wp, with zeros between them."""
+    F, H, W = g.shape
+    if wp == W:
+        return g.reshape(F, L)
+    gw = np.zeros((F, H, wp), dtype=g.dtype)
+    gw[:, :, :W] = g
+    return gw.reshape(F, H * wp)[:, :L]
+
+
+def _conv_kernel_grad(gw: np.ndarray, xpf: np.ndarray, taps, shape) -> np.ndarray:
+    """Kernel gradient of conv2d: per tap, the widened g times the transposed
+    run of the flattened padded input at the tap's offset."""
+    L, offsets = taps[3:]
+    dk = np.empty((len(offsets), shape[0], shape[1]), dtype=gw.dtype)
+    for t, o in enumerate(offsets):
+        np.matmul(gw, xpf[:, o : o + L].T, out=dk[t])
+    return dk.transpose(1, 2, 0).reshape(shape)
+
+
+def _conv_input_grad(k: np.ndarray, gw: np.ndarray, taps, shape) -> np.ndarray:
+    """Input gradient of conv2d: one product of the stacked tap kernels with the
+    widened g, then each tap's rows added at its offset and the padding cropped."""
+    F, C = k.shape[:2]
+    ph, pw, wp, L, offsets = taps
+    rows = k.transpose(2, 3, 1, 0).reshape(len(offsets) * C, F) @ gw
+    if len(offsets) == 1:
+        return rows.reshape(shape)
+    _, H, W = shape
+    dxp = np.zeros((C, (H + 2 * ph) * wp), dtype=gw.dtype)
+    for t, o in enumerate(offsets):
+        dxp[:, o : o + L] += rows[t * C : (t + 1) * C]
+    return dxp.reshape(C, H + 2 * ph, wp)[:, ph : ph + H, pw : pw + W]
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
@@ -346,19 +414,23 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     if bias is not None and bias.shape != (F,):
         raise ShapeError(f"conv2d: bias must have shape ({F},), got {bias.shape}")
 
-    d = int(dilation)
     H, W = x.shape[1], x.shape[2]
-    kmat = k.data.reshape(F, C * kh * kw)
-    cols = _im2col(x.data, kh, kw, d)
-    out = kmat @ cols
+    taps = ph, pw, wp, L, offsets = _taps(H, W, kh, kw, int(dilation))
+    xp = _pad(x.data, ph, pw)
+    out = k.data.reshape(F, C * kh * kw) @ _im2col(xp, offsets, H, W)
     if bias is not None:
         out += bias.data[:, None]
 
-    def vjp_x(g):
-        kadj = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, F * kh * kw)
-        return (kadj @ _im2col(g, kh, kw, d)).reshape(x.shape)
+    xpf = xp.reshape(C, -1)
+    wide = []  # (g, g widened): the k and x edges run back to back on one g
 
-    edges = [(k, lambda g: (g.reshape(F, H * W) @ cols.T).reshape(k.shape)), (x, vjp_x)]
+    def widened(g):
+        if not wide or wide[0] is not g:
+            wide[:] = (g, _widen(g, wp, L))
+        return wide[1]
+
+    edges = [(k, lambda g: _conv_kernel_grad(widened(g), xpf, taps, k.shape)),
+             (x, lambda g: _conv_input_grad(k.data, widened(g), taps, x.shape))]
     if bias is not None:
         edges.append((bias, lambda g: g.reshape(F, H * W).sum(axis=1)))
     return _result(out.reshape(F, H, W), *edges)

@@ -69,6 +69,11 @@ def posteriors_from_distances(
     dy2 = np.square(heads[:, 1:] - np.arange(height, dtype=np.float64)).astype(dtype, copy=False)
     np.add(dx2[:, None, :], dy2[:, :, None], out=sq.reshape(n, height, width))  # x^2 + y^2
     min_sq = sq.min(axis=0)
+    # The log-likelihoods reach -max(sq, d^2) / (2 delta^2), bounded from the axis offsets.
+    reach = max(float(dx2.max()) + float(dy2.max()), d * d, 1.0)
+    if reach > float(np.finfo(dtype).max) * (2.0 * delta * delta):
+        raise ValueError(f"posteriors: delta {delta:g} is too small for {dtype}: "
+                         f"a squared distance of {reach:g} over 2 delta^2 overflows it")
     inv = 1.0 / (2.0 * delta * delta)
     sq *= -inv  # log foreground likelihoods
     bg = out[n]

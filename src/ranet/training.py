@@ -195,7 +195,12 @@ def train_epoch(
         if norm > CLIP_NORM:
             factor = np.float32(CLIP_NORM / norm)
             grads = {k: g * factor for k, g in grads.items()}
-        params = _adam_step(params, grads, state, cfg.lr)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            params = _adam_step(params, grads, state, cfg.lr)
+        bad = next((k for k, a in params.items() if not np.isfinite(a).all()), None)
+        if bad is not None:
+            raise TrainingError(f"non-finite values in parameter {bad!r} after the step "
+                                f"at epoch {epoch}, batch {start // cfg.batch_size}")
 
     stats = EpochStats(
         epoch=epoch,
@@ -252,7 +257,13 @@ def _u32(value: int) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
-    """Magic, version, length-prefixed config JSON, then named float32 records."""
+    """Magic, version, length-prefixed config JSON, then named float32 records.
+
+    ValueError, before the file is opened, if a tensor holds a value that is
+    not finite in float32 (load_checkpoint would refuse it)."""
+    for name, arr in params.items():
+        if not np.all(np.abs(arr) <= np.finfo(np.float32).max):
+            raise ValueError(f"tensor {name!r} holds values that are not finite in float32")
     doc = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

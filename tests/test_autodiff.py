@@ -1,6 +1,7 @@
 """Forward values and finite-difference gradient checks for every primitive."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -462,6 +463,14 @@ class TestElementwise:
         np.testing.assert_allclose(out, np.logaddexp(0, xs), rtol=1e-15)
         assert out[-1] == 700.0  # no overflow
 
+    @pytest.mark.filterwarnings("error")
+    def test_scale_factor_must_be_finite_in_the_tape_dtype(self):
+        x = Tape(np.float32).tensor([1.0, 2.0])
+        for c in (1e39, -1e39, np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale: factor"):
+                ad.scale(x, c)
+        assert ad.scale(Tape(np.float64).tensor([1.0]), 1e39).data[0] == 1e39
+
     def test_nan_rejected(self):
         tape = Tape()
         bad = tape.tensor([np.nan])
@@ -544,17 +553,17 @@ class TestBackward:
             ad.backward(loss)
 
     def test_backward_frees_saved_arrays(self, monkeypatch):
-        # The conv column matrix lives only in the kernel's vjp; with the
-        # cycle collector off, it must die as soon as that record has run.
+        # The conv record saves the zero-padded input for the kernel's vjp; with
+        # the cycle collector off, it must die as soon as that record has run.
         saved = []
 
         def spy(*args):
-            cols = im2col(*args)
-            saved.append(weakref.ref(cols))
-            return cols
+            xp = pad(*args)
+            saved.append(weakref.ref(xp))
+            return xp
 
-        im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", spy)
+        pad = ad._pad
+        monkeypatch.setattr(ad, "_pad", spy)
         gc.disable()
         try:
             tape = Tape(np.float64)
@@ -570,6 +579,23 @@ class TestBackward:
                 ad.backward(loss)
         finally:
             gc.enable()
+
+    def test_conv_record_saves_no_column_matrix(self):
+        # What a conv2d record keeps is its output and the zero-padded input
+        # (1.0 MB here); the column matrix (2.36 MB) is a forward temporary.
+        gen = np.random.default_rng(64)
+        tape = Tape(np.float32)
+        x = tape.tensor(gen.normal(size=(16, 64, 64)), requires_grad=True)
+        k = tape.tensor(gen.normal(size=(32, 16, 3, 3)), requires_grad=True)
+        padded_bytes = 16 * 66 * 66 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv2d(x, k)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 1.25 * (y.data.nbytes + padded_bytes)
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape(np.float64)
@@ -597,16 +623,16 @@ class TestBackward:
             op(Tape(), Tape())
 
     def test_operand_without_gradient_gets_no_edge(self, monkeypatch):
-        # The input of conv2d is a constant, so its vjp (the im2col of g) must never
-        # run: the forward is the only lowering.
+        # The input of conv2d is a constant, so its vjp (the product of the
+        # stacked tap kernels with g, then the shifted adds) must never run.
         calls = []
 
         def spy(*args):
-            calls.append(args[0].shape)
-            return im2col(*args)
+            calls.append(args[3])
+            return input_grad(*args)
 
-        im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", spy)
+        input_grad = ad._conv_input_grad
+        monkeypatch.setattr(ad, "_conv_input_grad", spy)
         tape = Tape(np.float64)
         x = tape.constant(RNG.normal(size=(2, 5, 6)))
         k = tape.tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
@@ -614,6 +640,11 @@ class TestBackward:
         ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), constant)))
         assert x.grad is None and constant.grad is None
         assert k.grad is not None and np.any(k.grad != 0.0)
+        assert calls == []
+        tape = Tape(np.float64)  # the same graph with an input that needs gradient
+        x = tape.tensor(x.data, requires_grad=True)
+        k = tape.tensor(k.data, requires_grad=True)
+        ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), tape.constant(constant.data))))
         assert calls == [(2, 5, 6)]
 
     def test_composed_graph_matches_finite_differences(self):

@@ -140,6 +140,22 @@ class TestFloat32Posteriors:
         assert probs.dtype == np.float32 and not probs.flags.writeable
         np.testing.assert_array_equal(probs, np.ones((1, 9)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta, dtype", [
+        (1e-300, np.float32), (1e-20, np.float32), (1e-300, np.float64),
+    ], ids=["1e-300-f32", "1e-20-f32", "1e-300-f64"])
+    def test_delta_too_small_for_the_dtype_is_refused_by_name(self, delta, dtype):
+        # 2 delta^2 underflows to 0, or the exponents overflow the buffer's dtype
+        heads = _random_heads(5, 64, 64, np.random.default_rng(11))
+        with pytest.raises(ValueError, match="delta"):
+            posteriors_from_distances(64, 64, heads, delta, 6.4, dtype)
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_delta_that_fits_still_sums_to_one(self):
+        heads = _random_heads(90, 128, 128, np.random.default_rng(12))
+        probs = posteriors_from_distances(128, 128, heads, 1e-3, 12.8, np.float32)
+        np.testing.assert_allclose(probs.sum(axis=0, dtype=np.float64), 1.0, rtol=0, atol=self.TOL)
+
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ValueError, match="dtype"):

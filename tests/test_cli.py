@@ -142,6 +142,33 @@ class TestTrainEval:
         assert len(err) == 1 and err[0].startswith("usage error: ") and "finite" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--delta", "1e-300", "delta"), ("--delta", "1e-20", "delta"),
+        ("--ra-temp", "1e-39", "scale: factor"),
+    ], ids=["delta-1e-300", "delta-1e-20", "ra-temp-1e-39"])
+    def test_setting_too_small_for_float32_is_one_usage_error(self, flag, value, reason,
+                                                               dataset, tmp_path, capsys):
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
+                   *FAST_TRAIN, flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1 and "epoch=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and reason in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_that_overflows_the_parameters_writes_no_checkpoint(self, dataset, tmp_path,
+                                                                      capsys):
+        # one batch holds all six scenes, so no later forward pass meets the overflow
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
+                   "--epochs", "1", "--batch", "8", "--crop", "32", "--lr", "1e308"])
+        captured = capsys.readouterr()
+        assert rc == 2 and "epoch=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'bb.block1.k'" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_fails_before_training(self, dataset, tmp_path, capsys):
         rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
                    *FAST_TRAIN, "--seed", "-2"])
@@ -408,9 +435,13 @@ class TestMalformedCheckpoint:
         assert rc == 2 and "head.feat.k" in err
 
     def test_non_finite_tensor(self, checkpoint, tmp_path, infer):
-        def poison(p):
-            p["head.out.b"][0] = np.nan
-        rc, err = infer(self.edited_params(checkpoint, tmp_path, poison))
+        # save_checkpoint refuses a NaN, so it goes into the file's bytes
+        blob = bytearray(checkpoint.read_bytes())
+        at = blob.index(b"head.out.b") + len(b"head.out.b") + 8  # past ndim = 1 and its dim
+        blob[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(bytes(blob))
+        rc, err = infer(bad)
         assert rc == 2 and "non-finite" in err
 
     def test_mistyped_config_value(self, checkpoint, tmp_path, infer):

@@ -137,6 +137,16 @@ class TestTrainEpoch:
         assert np.isfinite(stats.mean_loss) and np.isfinite(stats.mae_train)
         assert stats.pass1_grad_min >= 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_step_that_leaves_a_parameter_non_finite_names_it(self):
+        # float32(1e308) is inf, so the first Adam step overflows every kernel
+        scenes = small_scenes(2)
+        cfg = self.cfg(lr=1e308)
+        params = init_params(cfg.net)
+        with pytest.raises(TrainingError,
+                           match=r"'bb\.block1\.k' after the step at epoch 0, batch 0"):
+            train_epoch(params, scenes, cfg, OptState.fresh(params), 0)
+
     def test_empty_dataset_rejected(self):
         cfg = self.cfg()
         params = init_params(cfg.net)
@@ -228,6 +238,16 @@ class TestCheckpointFormat:
         for k in params:
             assert loaded[k].tobytes() == params[k].tobytes()
             assert loaded[k].shape == params[k].shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "above-float32"])
+    def test_non_finite_tensor_is_refused_before_the_file_opens(self, tmp_path, bad):
+        cfg = TrainConfig(**FAST_BAYES, net=FAST_NET)
+        params = init_params(cfg.net)
+        params["head.out.b"] = np.array([bad])
+        path = tmp_path / "model.rack"
+        with pytest.raises(ValueError, match="'head.out.b'"):
+            save_checkpoint(params, cfg, path)
+        assert not path.exists()
 
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = TrainConfig(
