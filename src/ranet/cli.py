@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--height", type=int, default=scene_defaults.height)
     p_gen.add_argument("--min-heads", type=int, default=scene_defaults.min_heads)
     p_gen.add_argument("--max-heads", type=int, default=scene_defaults.max_heads)
-    p_gen.add_argument("--noise", type=float, default=scene_defaults.noise)
 
     train_defaults = TrainConfig()
     p_train = sub.add_parser("train", help="train on a generated dataset")
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Gaussian spread of the point-supervision loss, pixels")
     p_train.add_argument("--d-ratio", type=float, default=train_defaults.d_ratio,
                          help="background margin as a fraction of the shorter crop side")
-    p_train.add_argument("--ra-temp", type=float, default=train_defaults.net.ra_temperature)
     p_train.add_argument("--seed", type=int, default=train_defaults.seed)
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
@@ -83,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ra.add_argument("--priority", required=True)
     p_ra.add_argument("--out", required=True)
     p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
-    p_ra.add_argument("--temp", type=float, default=NetConfig.ra_temperature)
+    p_ra.add_argument("--temp", type=float, default=1.0)
     return parser
 
 
@@ -93,7 +91,6 @@ def _cmd_gen(args) -> int:
         height=args.height,
         min_heads=args.min_heads,
         max_heads=args.max_heads,
-        noise=args.noise,
         seed=args.seed,
     )
     manifest = gen_dataset(spec, args.train, args.test, args.out)
@@ -119,7 +116,7 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         delta=args.delta,
         d_ratio=args.d_ratio,
-        net=NetConfig(ra_temperature=args.ra_temp, seed=args.seed),
+        net=NetConfig(seed=args.seed),
         seed=args.seed,
     )
     scenes = load_split(Path(args.data) / "manifest.json", "train")

@@ -39,6 +39,7 @@ CLUTTER_COUNT_LO, CLUTTER_COUNT_HI = 0, 4  # unannotated blobs per scene, inclus
 CLUTTER_PEAK_LO, CLUTTER_PEAK_HI = 0.15, 0.30
 CLUTTER_RADIUS_LO, CLUTTER_RADIUS_HI = 3.0, 8.0
 BACKGROUND_LEVEL = 0.08
+NOISE_AMPLITUDE = 0.05  # uniform noise in [0, NOISE_AMPLITUDE) on every pixel
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SceneSpec:
     height: int = 64
     min_heads: int = 1
     max_heads: int = 15
-    noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class SceneSpec:
             )
         if not (0 <= self.min_heads <= self.max_heads):
             raise ValueError("need 0 <= min_heads <= max_heads")
-        if not (0.0 <= self.noise < 1.0):
-            raise ValueError("noise amplitude must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -103,8 +101,7 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
         _stamp_disc(canvas, x, y, radius, rng.uniform(HEAD_PEAK_LO, HEAD_PEAK_HI))
         pts.append((x, y))
 
-    if spec.noise > 0:
-        canvas += rng.uniform(0.0, spec.noise, size=(h, w))
+    canvas += rng.uniform(0.0, NOISE_AMPLITUDE, size=(h, w))
     canvas = np.clip(canvas, 0.0, 1.0)
 
     ann = PointAnnotations(np.array(pts, dtype=np.float64).reshape(len(pts), 2))

@@ -42,13 +42,13 @@ DENSITY_BIAS = -6.0  # softplus(-6) ~ 2.5e-3/cell: start near count scale
 class NetConfig(ConfigDoc):
     pool_grids: tuple[int, ...] = (1, 2, 3, 6)
     dilation_rates: tuple[int, ...] = (1, 2, 3, 4)
-    ra_temperature: float = 1.0  # divides the RA block's similarities before the softmax
     seed: int = 0
 
     _retired = {"two_tower": False, "widths": list(WIDTHS), "context_channels": CONTEXT_CHANNELS,
                 "aspp_channels": ASPP_CHANNELS, "decoder_channels": DECODER_CHANNELS,
                 "head_channels": HEAD_CHANNELS, "density_bias": DENSITY_BIAS,
-                "ra_column_normalize": False}  # similarity is the raw inner product, not the cosine
+                "ra_column_normalize": False,  # similarity is the raw inner product, not the cosine
+                "ra_temperature": 1.0}  # the relevance softmax runs on the raw similarities
 
     def __post_init__(self):
         super().__post_init__()
@@ -56,8 +56,6 @@ class NetConfig(ConfigDoc):
             raise ValueError("pooling grids must be >= 1")
         if not self.dilation_rates or any(r < 1 for r in self.dilation_rates):
             raise ValueError("need at least one dilation rate, each >= 1")
-        if not (self.ra_temperature > 0):
-            raise ValueError(f"ra_temperature must be positive, got {self.ra_temperature}")
         for name in ("pool_grids", "dilation_rates"):  # a repeat would share one branch's weights
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -237,7 +235,7 @@ def forward(x2d: Tensor, leaves: dict[str, Tensor], cfg: NetConfig) -> tuple[Ten
         raise ShapeError(f"input is {shape[0]}x{shape[1]}; sides must be multiples of 8 and at "
                          f"least 16: reflect-pad to {padded[0]}x{padded[1]} first")
     prio2d = ad.reshape(pass1(ad.reshape(x2d, (1,) + shape), leaves, cfg), shape)
-    enhanced = ra_apply(x2d, prio2d, cfg.ra_temperature)
+    enhanced = ra_apply(x2d, prio2d)
     density = pass2(ad.reshape(enhanced, (1,) + shape), leaves)
     return prio2d, ad.reshape(density, shape)
 

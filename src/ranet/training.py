@@ -50,7 +50,10 @@ class TrainConfig(ConfigDoc):
     def __post_init__(self):
         super().__post_init__()
         if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        # _adam_step casts lr to float32: half the smallest subnormal and below become 0
+        if self.lr <= float(np.finfo(np.float32).smallest_subnormal) / 2:
+            raise ValueError(f"lr {self.lr:g} is too small for float32: it rounds to 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if padded_shape(self.crop, self.crop) != (self.crop, self.crop):

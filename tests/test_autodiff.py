@@ -300,7 +300,7 @@ class TestSpatialOracles:
         ((2, 3, 2), (2, 3, 3), 4),  # dilation >= side: off-centre taps read only padding
         ((1, 1, 1), (2, 3, 3), 2),
         ((2, 4, 6), (3, 1, 3), 2),
-        ((2, 6, 7), (3, 5, 3), 2),  # unequal sides: the adjoint flips both axes
+        ((2, 6, 7), (3, 5, 3), 2),  # unequal kernel sides: taps step along both axes
     ])
     def test_conv2d(self, shape, kernel, dilation):
         f, kh, kw = kernel

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through the real subcommands on tiny datasets."""
 
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import SceneSpec, load_manifest
 from ranet.network import NetConfig, predict
+from ranet.region_aware import enhance
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
 # a default-recipe checkpoint (grids up to 6), read only
@@ -49,14 +51,24 @@ def test_flag_defaults_are_the_config_defaults():
     parse = cli.build_parser().parse_args
     gen = parse(["gen", "--out", "d"])
     spec = SceneSpec()
-    assert ((gen.width, gen.height, gen.min_heads, gen.max_heads, gen.noise, gen.seed)
-            == (spec.width, spec.height, spec.min_heads, spec.max_heads, spec.noise, spec.seed))
+    assert ((gen.width, gen.height, gen.min_heads, gen.max_heads, gen.seed)
+            == (spec.width, spec.height, spec.min_heads, spec.max_heads, spec.seed))
     tr = parse(["train", "--data", "d", "--out", "m.rack"])
     assert TrainConfig(lr=tr.lr, batch_size=tr.batch, crop=tr.crop, epochs=tr.epochs,
                        delta=tr.delta, d_ratio=tr.d_ratio, seed=tr.seed,
-                       net=NetConfig(ra_temperature=tr.ra_temp, seed=tr.seed)) == TrainConfig()
+                       net=NetConfig(seed=tr.seed)) == TrainConfig()
     ra = parse(["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"])
-    assert ra.temp == NetConfig().ra_temperature
+    assert ra.temp == inspect.signature(enhance).parameters["temperature"].default
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "d", "--noise", "0.1"],
+    ["train", "--data", "d", "--out", "m.rack", "--ra-temp", "2"],
+], ids=["gen-noise", "train-ra-temp"])
+def test_flags_of_fixed_settings_are_unknown(argv, capsys):
+    # the scene noise and the network's RA temperature are constants
+    assert main(argv) == 1
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 class TestGen:
@@ -129,8 +141,8 @@ class TestTrainEval:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "inf"), ("--lr", "nan"), ("--delta", "inf"), ("--ra-temp", "inf"),
-    ], ids=["lr-inf", "lr-nan", "delta-inf", "ra-temp-inf"])
+        ("--lr", "inf"), ("--lr", "nan"), ("--delta", "inf"),
+    ], ids=["lr-inf", "lr-nan", "delta-inf"])
     def test_non_finite_setting_fails_before_training(self, flag, value, dataset, tmp_path,
                                                       capsys):
         # such a checkpoint could never be loaded: its config block refuses the value
@@ -145,8 +157,8 @@ class TestTrainEval:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, value, reason", [
         ("--delta", "1e-300", "delta"), ("--delta", "1e-20", "delta"),
-        ("--ra-temp", "1e-39", "scale: factor"),
-    ], ids=["delta-1e-300", "delta-1e-20", "ra-temp-1e-39"])
+        ("--lr", "1e-50", "lr 1e-50 is too small for float32"),
+    ], ids=["delta-1e-300", "delta-1e-20", "lr-1e-50"])
     def test_setting_too_small_for_float32_is_one_usage_error(self, flag, value, reason,
                                                                dataset, tmp_path, capsys):
         rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
@@ -482,6 +494,7 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("key,edit", [
         ("ra_column_normalize", lambda doc: doc["net"].update(ra_column_normalize=True)),
+        ("ra_temperature", lambda doc: doc["net"].update(ra_temperature=2.0)),
         ("clip_norm", lambda doc: doc.update(clip_norm=5.0)),
     ])
     def test_retired_key_with_another_value(self, checkpoint, tmp_path, infer, key, edit):

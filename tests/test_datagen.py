@@ -5,9 +5,11 @@ import pytest
 
 from ranet.core import load_annotations, load_density, rasterize_density
 from ranet.datagen import (
+    BACKGROUND_LEVEL,
     DENSITY_SIGMA,
     HEAD_RADIUS_HI,
     HEAD_RADIUS_LO,
+    NOISE_AMPLITUDE,
     SceneSpec,
     gen_dataset,
     gen_scene,
@@ -78,10 +80,14 @@ class TestGenScene:
                     bottom.append(r)
         assert np.mean(top) < np.mean(bottom)
 
-    def test_zero_noise_allowed(self):
-        spec = SceneSpec(noise=0.0, seed=1)
-        scene = gen_scene(spec, 0)
-        assert scene.image.pixels.max() <= 1.0
+    def test_background_noise_has_the_fixed_amplitude(self):
+        # without heads, clutter covers at most 4 discs of radius 8; the rest is
+        # the background level plus uniform noise in [0, NOISE_AMPLITUDE)
+        pixels = gen_scene(SceneSpec(min_heads=0, max_heads=0, seed=1), 0).image.pixels
+        assert pixels.min() >= BACKGROUND_LEVEL
+        background = pixels[pixels < BACKGROUND_LEVEL + NOISE_AMPLITUDE]
+        assert background.size > pixels.size / 2
+        assert background.max() > BACKGROUND_LEVEL + 0.9 * NOISE_AMPLITUDE
 
 
 class TestGenDataset:

@@ -184,32 +184,32 @@ class TestFeedback:
         col = tape.tensor(RNG.uniform(size=(9, 1)))
         prio = tape.tensor(RNG.uniform(size=(9, 1)))
         np.testing.assert_allclose(
-            ra_apply(col, prio, SMALL.ra_temperature).data, col.data, atol=1e-12
+            ra_apply(col, prio).data, col.data, atol=1e-12
         )
 
     def test_zero_image_gives_zero(self):
         tape = Tape(np.float64)
         z = tape.tensor(np.zeros((6, 6)))
         prio = tape.tensor(RNG.uniform(size=(6, 6)))
-        np.testing.assert_array_equal(ra_apply(z, prio, SMALL.ra_temperature).data, 0.0)
+        np.testing.assert_array_equal(ra_apply(z, prio).data, 0.0)
 
     def test_delegates_bit_for_bit(self, monkeypatch):
-        # the forward pass enhances the image itself with ra_apply at cfg.ra_temperature
+        # the forward pass enhances the image itself with ra_apply at its default temperature
         calls = []
 
-        def recording(q, a, temperature):
-            out = ra_apply(q, a, temperature)
-            calls.append((q.data.copy(), a.data.copy(), temperature, out.data.copy()))
+        def recording(*args, **kwargs):
+            out = ra_apply(*args, **kwargs)
+            calls.append((args, kwargs, out.data.copy()))
             return out
 
         monkeypatch.setattr(network, "ra_apply", recording)
         img = random_image()
         predict(GrayImage(img), init_params(SMALL), SMALL, dtype=np.float64)
-        [(q_arr, a_arr, temperature, via_net)] = calls
-        assert temperature is SMALL.ra_temperature
-        assert q_arr.tobytes() == img.tobytes()
+        [((q, a), kwargs, via_net)] = calls
+        assert kwargs == {}
+        assert q.data.tobytes() == img.tobytes()
         tape = Tape(np.float64)
-        direct = ra_apply(tape.tensor(q_arr), tape.tensor(a_arr), SMALL.ra_temperature).data
+        direct = ra_apply(tape.tensor(q.data), tape.tensor(a.data)).data
         assert via_net.tobytes() == direct.tobytes()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
-from ranet.network import NetConfig
 from ranet.region_aware import (
     embed,
     enhance,
@@ -89,10 +88,6 @@ class TestRelevance:
         tape = Tape()
         w = relevance(tape.tensor(s_arr), temperature=2.5)
         np.testing.assert_allclose(w.data, bf_relevance(s_arr, 2.5), atol=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NetConfig(ra_temperature=0.0)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
     def test_bad_temperature_rejected(self, temperature):

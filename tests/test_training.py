@@ -210,6 +210,8 @@ class TestTrainDriver:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+        with pytest.raises(ValueError, match="lr 1e-50 is too small for float32"):
+            TrainConfig(lr=1e-50)  # rounds to 0 in the float32 Adam step
         with pytest.raises(ValueError):
             TrainConfig(crop=20)
         with pytest.raises(ValueError, match="seed"):
@@ -292,6 +294,12 @@ class TestCheckpointFormat:
 # The config block of a default checkpoint as this build writes it.
 DEFAULT_CONFIG_JSON = (
     '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
+    '"net": {"dilation_rates": [1, 2, 3, 4], "pool_grids": [1, 2, 3, 6], "seed": 0}, "seed": 0}'
+)
+
+# The same block as builds with a settable RA temperature wrote it.
+LEGACY_TEMPERATURE_CONFIG_JSON = (
+    '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
     '"net": {"dilation_rates": [1, 2, 3, 4], "pool_grids": [1, 2, 3, 6], '
     '"ra_temperature": 1.0, "seed": 0}, "seed": 0}'
 )
@@ -342,11 +350,17 @@ class TestPinnedConfigFormat:
     def test_document_keys_are_the_field_names(self, config):
         assert list(config.to_dict()) == [f.name for f in dataclasses.fields(config)]
 
-    def test_seventeen_settable_values(self):
+    def test_settable_values_by_name(self):
         # the nested net block holds settings but is not one
-        names = [f.name for cls in (TrainConfig, NetConfig, SceneSpec)
-                 for f in dataclasses.fields(cls) if f.name != "net"]
-        assert len(names) == 17
+        names = sorted(f"{cls.__name__}.{f.name}" for cls in (TrainConfig, NetConfig, SceneSpec)
+                       for f in dataclasses.fields(cls) if f.name != "net")
+        assert names == [
+            "NetConfig.dilation_rates", "NetConfig.pool_grids", "NetConfig.seed",
+            "SceneSpec.height", "SceneSpec.max_heads", "SceneSpec.min_heads", "SceneSpec.seed",
+            "SceneSpec.width",
+            "TrainConfig.batch_size", "TrainConfig.crop", "TrainConfig.d_ratio",
+            "TrainConfig.delta", "TrainConfig.epochs", "TrainConfig.lr", "TrainConfig.seed",
+        ]
 
     def test_pinned_json_round_trips(self):
         cfg = TrainConfig.from_dict(json.loads(DEFAULT_CONFIG_JSON))
@@ -371,21 +385,23 @@ class TestPinnedConfigFormat:
     def test_legacy_rack_loads(self, tmp_path):
         params = init_params(NetConfig())
         path = tmp_path / "legacy.rack"
-        for config_json in (LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON):
+        for config_json in (LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON,
+                            LEGACY_TEMPERATURE_CONFIG_JSON):
             path.write_bytes(hand_built_rack(config_json, params))
             loaded, cfg = load_checkpoint(path)
             assert cfg == TrainConfig()
             assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
 
-    @pytest.mark.parametrize("config_json", [LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON],
-                             ids=["legacy", "legacy_architecture"])
+    @pytest.mark.parametrize("config_json", [LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON,
+                                             LEGACY_TEMPERATURE_CONFIG_JSON],
+                             ids=["legacy", "legacy_architecture", "legacy_temperature"])
     def test_legacy_block_parses_to_the_default_config(self, config_json):
         assert TrainConfig.from_dict(json.loads(config_json)) == TrainConfig()
 
     def test_declared_retired_keys_are_the_ones_the_readme_lists(self):
         declared = {*TrainConfig._retired, *(f"net.{k}" for k in NetConfig._retired)}
         readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-        listed = re.search(r"twelve retired keys \(([^)]*)\)", readme).group(1)
+        listed = re.search(r"thirteen retired keys \(([^)]*)\)", readme).group(1)
         assert declared == set(re.findall(r"`([^`]+)`", listed))
 
     def test_committed_legacy_checkpoint_loads(self):
@@ -401,6 +417,7 @@ class TestPinnedConfigFormat:
         ("net", "widths", [4, 8, 8, 8]), ("net", "widths", [8, 16, 32]),
         ("net", "head_channels", 24), ("net", "context_channels", 8.0),
         ("net", "density_bias", -4.0), ("net", "density_bias", "-6.0"),
+        ("net", "ra_temperature", 0.5), ("net", "ra_temperature", "1.0"),
     ])
     def test_retired_key_with_another_value_is_format_error(self, tmp_path, block, key, value):
         doc = json.loads(LEGACY_CONFIG_JSON)
@@ -453,8 +470,8 @@ class TestPinnedConfigFormat:
         with pytest.raises(FormatError, match="ra_temprature"):
             load_checkpoint(path)
 
-    def test_missing_flattened_key_is_format_error(self):
+    def test_missing_nested_key_is_format_error(self):
         doc = json.loads(DEFAULT_CONFIG_JSON)
-        del doc["net"]["ra_temperature"]
-        with pytest.raises(FormatError, match="ra_temperature"):
+        del doc["net"]["pool_grids"]
+        with pytest.raises(FormatError, match="pool_grids"):
             TrainConfig.from_dict(doc)
