@@ -11,8 +11,8 @@ import tempfile
 
 import numpy as np
 
-from ranet import SceneSpec, gen_dataset, gen_scene, load_density, save_image
-from ranet.datagen import HEAD_RADIUS_HI, HEAD_RADIUS_LO, head_mask, load_manifest, load_split
+from ranet import SceneSpec, gen_dataset, gen_scene, save_image
+from ranet.datagen import HEAD_RADIUS_HI, HEAD_RADIUS_LO, head_mask, load_split
 
 spec = SceneSpec(seed=42)
 print("scene spec:", spec)
@@ -56,10 +56,6 @@ with tempfile.TemporaryDirectory(prefix="scenes_") as tmp:
     train = load_split(manifest, "train")
     print("loaded", len(train), "train scenes; counts:",
           [len(s.annotations) for s in train])
-    # Reference densities are written next to each scene, one unit of mass per head.
-    entries = load_manifest(manifest)["train"]
-    print("reference density masses:",
-          [round(load_density(out / e["density"]).count, 4) for e in entries])
 
     save_image(scene.image, out / "preview.pgm")
     print("preview image written to", out / "preview.pgm")

@@ -20,7 +20,6 @@ from .core import (
     load_annotations,
     load_density,
     load_image,
-    rasterize_density,
     save_annotations,
     save_density,
     save_image,

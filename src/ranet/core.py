@@ -307,16 +307,22 @@ def quantize_image(img: GrayImage) -> GrayImage:
 # ---------------------------------------------------------------------------
 
 
-def load_json(path):
-    """Parse a UTF-8 JSON file; FormatError when it is not one."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def parse_json(data: bytes, where):
+    """Parse UTF-8 JSON bytes; FormatError naming ``where`` if not JSON or nested too deep."""
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise FormatError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        raise FormatError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{where}: JSON nested too deeply") from None
+
+
+def load_json(path):
+    """Parse a UTF-8 JSON file; FormatError when it is not one."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
 
 
 def load_annotations(path) -> PointAnnotations:
@@ -353,35 +359,6 @@ def save_annotations(ann: PointAnnotations, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Reference density rasterization
-# ---------------------------------------------------------------------------
-
-
-def rasterize_density(
-    ann: PointAnnotations, height: int, width: int, sigma: float
-) -> DensityMap:
-    """Sum of per-point isotropic Gaussians, each renormalized to unit mass.
-
-    Renormalization over the raster (rather than the analytic 2D integral)
-    keeps near-border heads contributing exactly one person to the total.
-    Used for visualization and reference targets only; the training loss
-    consumes the points directly.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    acc = np.zeros((height, width), dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    inv = 1.0 / (2.0 * sigma * sigma)
-    for x, y in ann.points:
-        g = np.exp(-((ys - y) ** 2 + (xs - x) ** 2) * inv)
-        total = g.sum()
-        if total > 0:
-            acc += g / total
-    return DensityMap(acc)
 
 
 # ---------------------------------------------------------------------------

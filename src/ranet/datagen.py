@@ -11,6 +11,7 @@ bit-identically in any order.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,14 +25,11 @@ from .core import (
     load_annotations,
     load_image,
     load_json,
-    rasterize_density,
     save_annotations,
-    save_density,
     save_image,
 )
 
-DENSITY_SIGMA = 2.0  # reference-density Gaussian spread, pixels
-MANIFEST_KEYS = ("image", "annotations", "density")  # relative paths per manifest entry
+MANIFEST_KEYS = ("image", "annotations")  # relative paths per manifest entry
 
 HEAD_PEAK_LO, HEAD_PEAK_HI = 0.85, 1.0
 HEAD_RADIUS_LO, HEAD_RADIUS_HI = 2.0, 5.0  # at the top and bottom of the frame
@@ -125,16 +123,14 @@ def head_mask(scene: Scene) -> np.ndarray:
 
 
 def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
-    """Write images, annotations, reference densities, and manifest.json.
+    """Write one image and one annotation file per scene, and manifest.json.
 
-    Reference densities are rasterized from the annotations at DENSITY_SIGMA.
     Test scenes use indices n_train .. n_train + n_test - 1, so the same
     spec always produces the same bytes for every file.
     """
     if n_train < 0 or n_test < 0:
         raise ValueError(f"scene counts must be >= 0, got {n_train} train / {n_test} test")
     out = Path(out_dir)
-    h, w = spec.height, spec.width
     manifest = {"train": [], "test": []}
     for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
         (out / split).mkdir(parents=True, exist_ok=True)
@@ -143,43 +139,37 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
             stem = f"{split}/scene_{i:04d}"
             save_image(scene.image, out / f"{stem}.pgm")
             save_annotations(scene.annotations, out / f"{stem}.json")
-            density = rasterize_density(scene.annotations, h, w, DENSITY_SIGMA)
-            save_density(density, out / f"{stem}.radm")
-            manifest[split].append(
-                {
-                    "image": f"{stem}.pgm",
-                    "annotations": f"{stem}.json",
-                    "density": f"{stem}.radm",
-                }
-            )
+            manifest[split].append({"image": f"{stem}.pgm", "annotations": f"{stem}.json"})
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest_path
 
 
 def load_manifest(manifest_path) -> dict:
-    """Read manifest.json; FormatError unless both splits list path entries."""
+    """Read manifest.json; FormatError unless both splits list entries whose
+    MANIFEST_KEYS are paths a file name can hold.  Other keys are ignored."""
     doc = load_json(manifest_path)
     for split in ("train", "test"):
         if not isinstance(doc, dict) or not isinstance(doc.get(split), list):
             raise FormatError(f"{manifest_path}: manifest is missing the '{split}' list")
         for i, entry in enumerate(doc[split]):
-            if not isinstance(entry, dict) or not all(
-                isinstance(entry.get(key), str) for key in MANIFEST_KEYS
-            ):
+            paths = [entry.get(key) if isinstance(entry, dict) else None for key in MANIFEST_KEYS]
+            if not all(isinstance(p, str) for p in paths):
                 raise FormatError(
                     f"{manifest_path}: {split}[{i}] needs {', '.join(MANIFEST_KEYS)} paths"
                 )
+            try:
+                ok = all(b"\0" not in os.fsencode(p) for p in paths)
+            except UnicodeEncodeError:  # a lone surrogate
+                ok = False
+            if not ok:
+                raise FormatError(f"{manifest_path}: {split}[{i}] has a path with a NUL byte "
+                                  "or a lone surrogate, which no file name holds")
     return doc
 
 
 def load_split(manifest_path, split: str) -> list[Scene]:
-    """Materialize one split's scenes relative to the manifest location.
-
-    Reference densities are not read; ``load_density`` reads an entry's file.
-    """
+    """Materialize one split's scenes relative to the manifest location."""
     doc = load_manifest(manifest_path)
     if split not in doc:
         raise ValueError(f"unknown split {split!r}")

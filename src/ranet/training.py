@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene
+from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, parse_json
 from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
                       param_shapes, pass1_param_names)
 
@@ -312,9 +312,10 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    doc = parse_json(r.take(r.u32()), f"{path}: config block")
     try:
-        cfg = TrainConfig.from_dict(json.loads(r.take(r.u32()).decode("utf-8")))
-    except ValueError as exc:  # not UTF-8, not JSON, or not a valid config
+        cfg = TrainConfig.from_dict(doc)
+    except ValueError as exc:  # not a valid config
         raise FormatError(f"{path}: unreadable config block ({exc})") from None
     expected = param_shapes(cfg.net)
     params: ModelParams = {}

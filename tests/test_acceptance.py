@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v`; the per-criterion PASS/FAIL
 lines print in the terminal summary.  Criterion 7 trains the full default
-recipe and dominates the runtime (a few minutes); 8 and 9 reuse its run.
+recipe and dominates the runtime (about 60 s on two cores); 8 and 9 reuse its run.
 """
 
 import time

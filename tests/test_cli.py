@@ -11,7 +11,7 @@ import pytest
 from ranet import cli
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
-from ranet.datagen import SceneSpec, load_manifest
+from ranet.datagen import MANIFEST_KEYS, SceneSpec, load_manifest
 from ranet.network import NetConfig, predict
 from ranet.region_aware import enhance
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
@@ -76,8 +76,8 @@ class TestGen:
         doc = load_manifest(dataset / "manifest.json")
         assert len(doc["train"]) == 6 and len(doc["test"]) == 3
         for entry in doc["train"] + doc["test"]:
-            for key in ("image", "annotations", "density"):
-                assert (dataset / entry[key]).exists()
+            assert tuple(entry) == MANIFEST_KEYS
+            assert all((dataset / entry[key]).is_file() for key in MANIFEST_KEYS)
 
     def test_side_below_limit_names_it(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path), "--width", "10", "--height", "10"])
@@ -513,6 +513,15 @@ class TestMalformedCheckpoint:
         rc, err = infer(bad)
         assert rc == 2 and key in err
 
+    def test_config_block_nested_too_deeply(self, checkpoint, tmp_path, infer):
+        blob = checkpoint.read_bytes()
+        deep = b"[" * 100_000
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(blob[:8] + len(deep).to_bytes(4, "little") + deep
+                        + blob[12 + int.from_bytes(blob[8:12], "little"):])
+        rc, err = infer(bad)
+        assert rc == 2 and str(bad) in err and "config block: JSON nested too deeply" in err
+
     def test_second_backbone(self, checkpoint, tmp_path, infer):
         # a checkpoint from a build that could give pass 2 its own backbone
         def add_bb2(p):
@@ -577,6 +586,32 @@ class TestMalformedData:
     def test_manifest_entry_without_paths(self, data, checkpoint, capsys):
         (data / "manifest.json").write_text('{"train": [], "test": [{"image": 3}]}')
         assert self.eval_rc(data, checkpoint, capsys) == 2
+
+    @pytest.mark.parametrize("name", ["manifest.json", "test/scene_0001.json"],
+                             ids=["manifest", "annotations"])
+    def test_json_nested_too_deeply(self, name, data, checkpoint, capsys):
+        # Python's JSON parser recurses once per level and gives up near 1000
+        (data / name).write_text("[" * 100_000)
+        rc = main(["eval", "--ckpt", str(checkpoint), "--data", str(data), "--split", "test"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0] == f"error: {data / name}: JSON nested too deeply"
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_manifest_path_with_a_nul_byte(self, command, data, checkpoint, tmp_path, capsys):
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["train"][1]["image"] = "scene\0.pgm"
+        manifest.write_text(json.dumps(doc))
+        argv = {"eval": ["eval", "--ckpt", str(checkpoint), "--data", str(data),
+                         "--split", "test"],
+                "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.rack"),
+                          *FAST_TRAIN]}[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 2 and "epoch=" not in captured.out and len(err) == 1
+        assert err[0].startswith(f"error: {manifest}: train[1] has a path with a NUL byte")
 
     @pytest.mark.parametrize("command", ["gen", "train", "infer"])
     def test_path_through_a_file_is_one_error_line(self, command, dataset, tmp_path, capsys):

@@ -17,7 +17,6 @@ from ranet.core import (
     load_density,
     load_image,
     quantize_image,
-    rasterize_density,
     save_annotations,
     save_density,
     save_image,
@@ -184,36 +183,13 @@ class TestAnnotationIO:
     @pytest.mark.parametrize("blob", [
         b'{"points": [[1.0, 2.0]]}\xff',
         b'{"points": [[1' + b"0" * 400 + b', 2]]}',
+        b'{"points": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",  # deeper than the parser goes
     ])
     def test_undecodable_or_overflowing_is_format_error(self, tmp_path, blob):
         p = tmp_path / "bad.json"
         p.write_bytes(blob)
         with pytest.raises(FormatError):
             load_annotations(p)
-
-
-class TestRasterizeDensity:
-    def test_empty_annotations(self):
-        dm = rasterize_density(PointAnnotations(np.zeros((0, 2))), 8, 8, sigma=2.0)
-        assert dm.count == 0.0
-
-    def test_unit_mass_per_point(self):
-        dm = rasterize_density(PointAnnotations(np.array([[1.0, 6.5]])), 8, 8, sigma=1.7)
-        assert abs(dm.count - 1.0) < 1e-9
-
-    def test_mass_is_additive(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 16, size=(5, 2))
-        dm = rasterize_density(PointAnnotations(pts), 16, 16, sigma=2.5)
-        assert abs(dm.count - 5.0) < 1e-8
-
-    def test_border_heads_keep_unit_mass(self):
-        dm = rasterize_density(PointAnnotations(np.array([[0.0, 0.0]])), 12, 12, sigma=3.0)
-        assert abs(dm.count - 1.0) < 1e-9
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            rasterize_density(PointAnnotations(np.zeros((0, 2))), 4, 4, sigma=0.0)
 
 
 class TestDensityIO:

@@ -1,14 +1,16 @@
 """Scene generator determinism, learnability margins, and dataset layout."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ranet.core import load_annotations, load_density, rasterize_density
+from ranet.core import FormatError, quantize_image
 from ranet.datagen import (
     BACKGROUND_LEVEL,
-    DENSITY_SIGMA,
     HEAD_RADIUS_HI,
     HEAD_RADIUS_LO,
+    MANIFEST_KEYS,
     NOISE_AMPLITUDE,
     SceneSpec,
     gen_dataset,
@@ -42,11 +44,6 @@ class TestGenScene:
         for i in range(20):
             scene = gen_scene(SPEC, i)
             assert scene.annotations.inside(SPEC.height, SPEC.width)
-
-    def test_reference_density_mass_matches_count(self):
-        scene = gen_scene(SPEC, 7)
-        density = rasterize_density(scene.annotations, SPEC.height, SPEC.width, DENSITY_SIGMA)
-        assert density.count == pytest.approx(len(scene.annotations), abs=1e-8)
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
@@ -92,15 +89,16 @@ class TestGenScene:
 
 class TestGenDataset:
     def test_layout_and_cardinality(self, tmp_path):
+        # the tree holds the manifest and exactly the files its entries name
         manifest = gen_dataset(SceneSpec(width=32, height=32, seed=2), 6, 3, tmp_path)
-        import json
-
         doc = json.loads(manifest.read_text())
         assert len(doc["train"]) == 6 and len(doc["test"]) == 3
-        for split in ("train", "test"):
-            for entry in doc[split]:
-                for key in ("image", "annotations", "density"):
-                    assert (tmp_path / entry[key]).exists()
+        entries = doc["train"] + doc["test"]
+        assert all(tuple(entry) == MANIFEST_KEYS for entry in entries)
+        named = {entry[key] for entry in entries for key in MANIFEST_KEYS}
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == named | {"manifest.json"}
+        assert len(named) == 2 * len(entries)
 
     def test_regeneration_is_bit_identical(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=5)
@@ -113,23 +111,13 @@ class TestGenDataset:
     def test_load_split_round_trips_counts(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=8)
         manifest = gen_dataset(spec, 3, 2, tmp_path)
-        scenes = load_split(manifest, "train")
-        assert len(scenes) == 3
-        for i, (scene, entry) in enumerate(zip(scenes, load_manifest(manifest)["train"])):
-            reference = gen_scene(spec, i)
-            assert len(scene.annotations) == len(reference.annotations)
-            density = load_density(tmp_path / entry["density"])
-            assert density.count == pytest.approx(len(scene.annotations), abs=1e-4)
-
-    def test_density_files_rasterize_their_annotations(self, tmp_path):
-        spec = SceneSpec(width=40, height=32, seed=6)
-        manifest = gen_dataset(spec, 3, 2, tmp_path)
-        doc = load_manifest(manifest)
-        for entry in doc["train"] + doc["test"]:
-            ann = load_annotations(tmp_path / entry["annotations"])
-            expect = rasterize_density(ann, spec.height, spec.width, DENSITY_SIGMA)
-            written = load_density(tmp_path / entry["density"])
-            np.testing.assert_array_equal(written.values, expect.values.astype(np.float32))
+        for split, base in (("train", 0), ("test", 3)):
+            for i, scene in enumerate(load_split(manifest, split)):
+                reference = gen_scene(spec, base + i)
+                np.testing.assert_array_equal(scene.annotations.points,
+                                              reference.annotations.points)
+                np.testing.assert_array_equal(scene.image.pixels,
+                                              quantize_image(reference.image).pixels)
 
     def test_test_split_disjoint_from_train(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=9)
@@ -137,3 +125,34 @@ class TestGenDataset:
         train = load_split(manifest, "train")
         test = load_split(manifest, "test")
         assert train[0].image.pixels.tobytes() != test[0].image.pixels.tobytes()
+
+
+class TestManifest:
+    def write(self, root, entry):
+        gen_dataset(SceneSpec(width=16, height=16, seed=4), 1, 0, root)
+        path = root / "manifest.json"
+        path.write_text(json.dumps({"train": [entry], "test": []}))
+        return path
+
+    def test_entry_with_image_and_annotations_only_loads(self, tmp_path):
+        manifest = self.write(tmp_path, {"image": "train/scene_0000.pgm",
+                                         "annotations": "train/scene_0000.json"})
+        assert len(load_split(manifest, "train")) == 1
+
+    def test_older_layout_with_a_density_path_loads_without_opening_it(self, tmp_path):
+        # manifests used to name a reference density per entry; nothing reads it
+        manifest = self.write(tmp_path, {"image": "train/scene_0000.pgm",
+                                         "annotations": "train/scene_0000.json",
+                                         "density": "train/missing.radm"})
+        assert not (tmp_path / "train" / "missing.radm").exists()
+        assert load_manifest(manifest)["train"][0]["density"] == "train/missing.radm"
+        assert len(load_split(manifest, "train")) == 1
+
+    @pytest.mark.parametrize("path", ["train/scene\0.pgm", "train/\ud800.pgm"],
+                             ids=["nul", "lone-surrogate"])
+    def test_path_no_file_name_holds_is_format_error(self, tmp_path, path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"train": [{"image": path, "annotations": "a.json"}],
+                                        "test": []}))
+        with pytest.raises(FormatError, match=r"train\[0\] has a path with a NUL byte"):
+            load_manifest(manifest)

@@ -20,6 +20,7 @@ from ranet.core import (
     load_annotations,
     load_density,
     load_image,
+    save_density,
 )
 from ranet.datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest
 from ranet.network import NetConfig, init_params, param_shapes
@@ -43,7 +44,7 @@ def valid_manifest(doc):
 
 FORMATS = {
     "pgm": ("train/scene_0000.pgm", load_image, lambda out: isinstance(out, GrayImage)),
-    "radm": ("train/scene_0000.radm", load_density, lambda out: isinstance(out, DensityMap)),
+    "radm": ("density.radm", load_density, lambda out: isinstance(out, DensityMap)),
     "annotations": ("train/scene_0000.json", load_annotations,
                     lambda out: isinstance(out, PointAnnotations)),
     "manifest": ("manifest.json", load_manifest, valid_manifest),
@@ -56,6 +57,8 @@ def corpus(tmp_path_factory):
     """One valid file of every format, written by the package's own writers."""
     root = tmp_path_factory.mktemp("corpus")
     gen_dataset(SceneSpec(width=16, height=16, max_heads=3, seed=5), 1, 1, root)
+    save_density(DensityMap(np.random.default_rng(5).uniform(0, 0.1, (16, 16))),
+                 root / "density.radm")
     save_checkpoint(init_params(TINY_NET), TrainConfig(net=TINY_NET), root / "model.rack")
     return root
 
