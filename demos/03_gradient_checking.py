@@ -28,10 +28,10 @@ kernel = rng.normal(size=(2, 1, 3, 3))
 
 print("primitive spot checks (worst relative error over 5 coordinates):")
 for name, build in [
-    ("matmul", lambda t, x: ad.matmul(x, t.constant(rhs))),
+    ("matmul", lambda t, x: ad.matmul(x, t.tensor(rhs))),
     ("softmax_rows", lambda t, x: ad.softmax_rows(x)),
     ("conv2d d=2", lambda t, x: ad.conv2d(
-        ad.reshape(x, (1, 6, 6)), t.constant(kernel), dilation=2)),
+        ad.reshape(x, (1, 6, 6)), t.tensor(kernel), dilation=2)),
     ("upsample", lambda t, x: ad.upsample_bilinear(ad.reshape(x, (1, 6, 6)), 11, 9)),
     ("softplus", lambda t, x: ad.softplus(x)),
 ]:
@@ -43,7 +43,7 @@ for name, build in [
     def scalar(arr):
         t = Tape(np.float64)
         x = t.tensor(arr, requires_grad=True)
-        return x, ad.sum_all(ad.mul(build(t, x), t.constant(weights)))
+        return x, ad.sum_all(ad.mul(build(t, x), t.tensor(weights)))
 
     x, loss = scalar(x0)
     ad.backward(loss)

@@ -84,9 +84,6 @@ class Tape:
     def tensor(self, data, requires_grad: bool = False) -> "Tensor":
         return Tensor(self, _as_array(data, self.dtype), requires_grad)
 
-    def constant(self, data) -> "Tensor":
-        return self.tensor(data, requires_grad=False)
-
     def backward(self, loss: "Tensor") -> None:
         """Populate .grad of every requires-grad tensor with d(loss)/d(tensor)."""
         if loss.tape is not self:

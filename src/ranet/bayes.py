@@ -117,8 +117,8 @@ def bayes_loss(dmap: Tensor, heads: np.ndarray, delta: float, d_ratio: float) ->
     probs = posteriors_from_distances(h, w, heads, delta, d_ratio * min(h, w), tape.dtype)
     n = probs.shape[0] - 1
 
-    weights = tape.constant(probs)  # (N+1, M) in the tape's dtype, so wrapped without a copy
+    weights = tape.tensor(probs)  # (N+1, M) in the tape's dtype, so wrapped without a copy
     target = np.append(np.ones(n), 0.0).reshape(n + 1, 1)
     counts = ad.matmul(weights, ad.reshape(dmap, (h * w, 1)))
-    residual = ad.add(counts, tape.constant(-target))  # |c - t| = |t - c| exactly
+    residual = ad.add(counts, tape.tensor(-target))  # |c - t| = |t - c| exactly
     return ad.sum_all(ad.abs_val(residual))

@@ -3,7 +3,9 @@
 All raster types wrap read-only numpy arrays so instances can be shared
 freely across threads.  File formats:
 
-* images: binary PGM (magic ``P5``, ASCII width/height, maxval 255),
+* images: binary PGM (magic ``P5``, ASCII width/height, maxval 255) in Netpbm's
+  grammar: header fields split by blanks (space, tab, CR, LF) and ``#`` comments
+  to the end of the line; exactly one byte between maxval and the raster,
 * annotations: JSON object with a ``points`` list of ``[x, y]`` pairs,
 * density maps: ``RADM`` header + row-major little-endian float32 payload.
 
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import re
+from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -159,7 +162,7 @@ class Scene:
 class ConfigDoc:
     """Mixin giving a config dataclass ``to_dict`` / ``from_dict`` derived from its fields.
 
-    Tuples are stored as lists and a nested config as a nested dict.
+    A nested config becomes a nested dict; a tuple stays one, and JSON writes it as a list.
 
     Every float field must be finite: a subclass's ``__post_init__`` calls
     this one first, so no config holds a value its own document refuses.
@@ -178,13 +181,7 @@ class ConfigDoc:
                 raise ValueError(f"{f.name} must be finite, got {value}")
 
     def to_dict(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, ConfigDoc):
-                value = value.to_dict()
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict):
@@ -219,7 +216,7 @@ class ConfigDoc:
 def _fits(value, hint) -> bool:
     """Whether a JSON value can stand for a field of type ``hint`` (floats finite)."""
     if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(hint)[0]) for v in value)
     if hint is float:
         return type(value) is int or (type(value) is float and math.isfinite(value))
     return type(value) is hint
@@ -230,23 +227,11 @@ def _fits(value, hint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    pos = 0
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < n and data[pos : pos + 1] not in b" \t\r\n":
-                pos += 1
-            yield data[start:pos].decode("ascii", errors="replace"), pos
-            pos += 1  # consume the single whitespace after the token
+# A field: blanks and '#' comments, then non-blank bytes not starting with '#'.  A comment
+# runs to its line's end, so no match backtracks into one.  Fields nest, each optional:
+# a missing field leaves its group and every later one None.
+_PGM_FIELD = rb"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*([^ \t\r\n#][^ \t\r\n]*)"
+_PGM_HEADER = re.compile((rb"(?:" + _PGM_FIELD) * 4 + rb")?" * 4)
 
 
 def load_image(path) -> GrayImage:
@@ -254,21 +239,17 @@ def load_image(path) -> GrayImage:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise FormatError(f"{path}: empty file, missing PGM magic") from None
+    header = _PGM_HEADER.match(data)
+    magic, *tokens = (t and t.decode("ascii", errors="replace") for t in header.groups())
+    if magic is None:
+        raise FormatError(f"{path}: empty file, missing PGM magic")
     if magic != "P5":
         raise FormatError(f"{path}: bad magic {magic!r}, expected 'P5'")
 
     fields = []
-    end = 0
-    for name in ("width", "height", "maxval"):
-        try:
-            tok, end = next(tokens)
-        except StopIteration:
-            raise FormatError(f"{path}: truncated header, missing {name}") from None
+    for name, tok in zip(("width", "height", "maxval"), tokens):
+        if tok is None:
+            raise FormatError(f"{path}: truncated header, missing {name}")
         if not tok.isdigit() or len(tok) > 9:
             raise FormatError(f"{path}: non-numeric or oversized {name} field {tok!r}")
         fields.append(int(tok))
@@ -278,7 +259,7 @@ def load_image(path) -> GrayImage:
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
 
-    payload = data[end + 1 :]
+    payload = data[header.end() + 1 :]
     expected = width * height
     if len(payload) < expected:
         raise FormatError(
@@ -400,6 +381,8 @@ def load_density(path) -> DensityMap:
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(int(height), int(width))
     try:
+        if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
+            raise ValueError("density map contains non-finite values")
         return DensityMap(values.astype(np.float64))
     except ValueError as exc:  # empty, non-finite or negative values
         raise FormatError(f"{path}: {exc}") from None

@@ -256,7 +256,7 @@ def full_forward(
         raise ShapeError(f"expected a 2D image, got shape {image.shape}")
     tape = Tape(dtype)
     leaves = bind(tape, params, requires_grad)
-    prio2d, density2d = forward(tape.constant(image), leaves, cfg)
+    prio2d, density2d = forward(tape.tensor(image), leaves, cfg)
     loss = bayes_loss(density2d, heads, delta, d_ratio)
     return ForwardResult(loss=loss, density=density2d, priority=prio2d, leaves=leaves)
 
@@ -273,7 +273,7 @@ def predict(
     ph, pw = padded_shape(h, w)
     tape = Tape(dtype)
     leaves = bind(tape, params, requires_grad=False)
-    x = tape.constant(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
+    x = tape.tensor(np.pad(img.pixels, ((0, ph - h), (0, pw - w)), mode="reflect"))
     prio2d, density2d = forward(x, leaves, cfg)
     return (
         DensityMap(np.asarray(density2d.data, dtype=np.float64)[:h, :w]),

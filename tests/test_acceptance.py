@@ -198,11 +198,11 @@ class TestCriterion6:
             def f(arr):
                 t = Tape(np.float64)
                 x = t.tensor(arr, requires_grad=True)
-                return float(ad.sum_all(ad.mul(op(t, x), t.constant(weights))).data)
+                return float(ad.sum_all(ad.mul(op(t, x), t.tensor(weights))).data)
 
             t = Tape(np.float64)
             x = t.tensor(x_arr, requires_grad=True)
-            ad.backward(ad.sum_all(ad.mul(op(t, x), t.constant(weights))))
+            ad.backward(ad.sum_all(ad.mul(op(t, x), t.tensor(weights))))
             worst = max(worst, check_gradient(f, x_arr, x.grad, 3, RNG, min_mag=min_mag))
         return worst
 
@@ -237,7 +237,7 @@ class TestCriterion6:
         # multi-input primitives
         cot = RNG.normal(size=(3, 2))
         err = self._check_binary(
-            lambda t, xs: ad.sum_all(ad.mul(ad.matmul(xs[0], xs[1]), t.constant(cot))),
+            lambda t, xs: ad.sum_all(ad.mul(ad.matmul(xs[0], xs[1]), t.tensor(cot))),
             [(3, 4), (4, 2)],
         )
         worst_primitive = max(worst_primitive, err)
@@ -255,7 +255,7 @@ class TestCriterion6:
         cot_cat = RNG.normal(size=(5, 2, 2))
         err = self._check_binary(
             lambda t, xs: ad.sum_all(
-                ad.mul(ad.concat_channels([xs[0], xs[1]]), t.constant(cot_cat))
+                ad.mul(ad.concat_channels([xs[0], xs[1]]), t.tensor(cot_cat))
             ),
             [(2, 2, 2), (3, 2, 2)],
         )
@@ -265,7 +265,7 @@ class TestCriterion6:
         err = self._check_binary(
             lambda t, xs: ad.sum_all(
                 ad.mul(ad.conv2d(xs[0], xs[1], bias=xs[2], dilation=2),
-                       t.constant(cot_conv))
+                       t.tensor(cot_conv))
             ),
             [(2, 5, 5), (3, 2, 3, 3), (3,)],
         )

@@ -31,7 +31,7 @@ def scalar_through(op, x_arr: np.ndarray, *, weights=None):
         tape = Tape(np.float64)
         x = tape.tensor(arr, requires_grad=True)
         out = op(tape, x)
-        w = tape.constant(weights if weights is not None else np.ones(out.shape))
+        w = tape.tensor(weights if weights is not None else np.ones(out.shape))
         return float(ad.sum_all(ad.mul(out, w)).data)
 
     return f
@@ -41,7 +41,7 @@ def grad_of(op, x_arr: np.ndarray, *, weights=None):
     tape = Tape(np.float64)
     x = tape.tensor(x_arr, requires_grad=True)
     out = op(tape, x)
-    w = tape.constant(weights if weights is not None else np.ones(out.shape))
+    w = tape.tensor(weights if weights is not None else np.ones(out.shape))
     ad.backward(ad.sum_all(ad.mul(out, w)))
     return x.grad
 
@@ -88,7 +88,7 @@ class TestMatmul:
                 tape = Tape(np.float64)
                 a = tape.tensor(a_in, requires_grad=True)
                 b = tape.tensor(b_in, requires_grad=True)
-                loss = ad.sum_all(ad.mul(ad.matmul(a, b), tape.constant(w_arr)))
+                loss = ad.sum_all(ad.mul(ad.matmul(a, b), tape.tensor(w_arr)))
                 return tape, a, b, loss
 
             tape, a, b, loss = run(a_arr, b_arr)
@@ -177,7 +177,7 @@ class TestConv2d:
                 k = tape.tensor(kv, requires_grad=True)
                 b = tape.tensor(bv, requires_grad=True)
                 out = ad.conv2d(x, k, bias=b, dilation=dilation)
-                loss = ad.sum_all(ad.mul(out, tape.constant(w_arr)))
+                loss = ad.sum_all(ad.mul(out, tape.tensor(w_arr)))
                 return x, k, b, loss
 
             x, k, b, loss = run(x_arr, k_arr, b_arr)
@@ -227,7 +227,7 @@ class TestPooling:
             x = tape.tensor(np.random.default_rng(8).normal(size=(3, 16, 16)),
                             requires_grad=True)
             out = op(x)
-            g = tape.constant(np.random.default_rng(9).normal(size=(3, 8, 8)))
+            g = tape.tensor(np.random.default_rng(9).normal(size=(3, 8, 8)))
             ad.backward(ad.sum_all(ad.mul(out, g)))
             outs.append(out.data)
             grads.append(x.grad)
@@ -279,7 +279,7 @@ def vjp_of(op, *arrays, cotangent):
     tape = Tape(np.float64)
     leaves = [tape.tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
-    ad.backward(ad.sum_all(ad.mul(out, tape.constant(cotangent))))
+    ad.backward(ad.sum_all(ad.mul(out, tape.tensor(cotangent))))
     return out.data, [t.grad for t in leaves]
 
 
@@ -396,7 +396,7 @@ class TestConcatSlice:
         tape = Tape(np.float64)
         a = tape.tensor(RNG.uniform(size=(2, 3, 3)), requires_grad=True)
         b = tape.tensor(RNG.uniform(size=(1, 3, 3)), requires_grad=True)
-        w = tape.constant(RNG.normal(size=(3, 3, 3)))
+        w = tape.tensor(RNG.normal(size=(3, 3, 3)))
         ad.backward(ad.sum_all(ad.mul(ad.concat_channels([a, b]), w)))
         np.testing.assert_array_equal(a.grad, w.data[0:2])
         np.testing.assert_array_equal(b.grad, w.data[2:3])
@@ -412,7 +412,7 @@ class TestConcatSlice:
         cat = ad.concat_channels([a, b])
         assert cat.shape == (5,) + rest
         np.testing.assert_array_equal(cat.data, np.concatenate([a.data, b.data]))
-        w = tape.constant(rng.normal(size=(5,) + rest))
+        w = tape.tensor(rng.normal(size=(5,) + rest))
         ad.backward(ad.sum_all(ad.mul(cat, w)))
         np.testing.assert_array_equal(a.grad, w.data[0:2])
         np.testing.assert_array_equal(b.grad, w.data[2:5])
@@ -634,9 +634,9 @@ class TestBackward:
         input_grad = ad._conv_input_grad
         monkeypatch.setattr(ad, "_conv_input_grad", spy)
         tape = Tape(np.float64)
-        x = tape.constant(RNG.normal(size=(2, 5, 6)))
+        x = tape.tensor(RNG.normal(size=(2, 5, 6)))
         k = tape.tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        constant = tape.constant(RNG.normal(size=(3, 5, 6)))
+        constant = tape.tensor(RNG.normal(size=(3, 5, 6)))
         ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), constant)))
         assert x.grad is None and constant.grad is None
         assert k.grad is not None and np.any(k.grad != 0.0)
@@ -644,7 +644,7 @@ class TestBackward:
         tape = Tape(np.float64)  # the same graph with an input that needs gradient
         x = tape.tensor(x.data, requires_grad=True)
         k = tape.tensor(k.data, requires_grad=True)
-        ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), tape.constant(constant.data))))
+        ad.backward(ad.sum_all(ad.mul(ad.conv2d(x, k), tape.tensor(constant.data))))
         assert calls == [(2, 5, 6)]
 
     def test_composed_graph_matches_finite_differences(self):
@@ -685,7 +685,7 @@ class TestBackward:
         r = ad.reshape(y, (4, 3, 2))
         c = ad.concat_channels([r, r])
         w = RNG.normal(size=(8, 3, 2))
-        ad.backward(ad.sum_all(ad.mul(c, tape.constant(w))))
+        ad.backward(ad.sum_all(ad.mul(c, tape.tensor(w))))
         dr = w[:4] + w[4:]
         np.testing.assert_array_equal(c.grad, w)
         np.testing.assert_array_equal(r.grad, dr)

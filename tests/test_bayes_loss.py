@@ -344,7 +344,7 @@ class TestBayesLoss:
     def test_posteriors_in_the_tapes_dtype(self, monkeypatch, dtype):
         # a float32 tape gets float32 posteriors, which it wraps without a copy
         requested, made, wrapped = [], [], []
-        inner, constant = bayes.posteriors_from_distances, Tape.constant
+        inner, tensor = bayes.posteriors_from_distances, Tape.tensor
 
         def spy(*args, **kwargs):
             call = inspect.signature(inner).bind(*args, **kwargs)
@@ -353,15 +353,16 @@ class TestBayesLoss:
             made.append(inner(*args, **kwargs))
             return made[-1]
 
-        def recording_constant(tape, data):
-            out = constant(tape, data)
+        def recording_tensor(tape, data, requires_grad=False):
+            out = tensor(tape, data, requires_grad)
             wrapped.append(out.data)
             return out
 
-        monkeypatch.setattr(bayes, "posteriors_from_distances", spy)
-        monkeypatch.setattr(Tape, "constant", recording_constant)
         tape = Tape(dtype)
-        bayes_loss(tape.tensor(np.ones((4, 4))), np.array([[1.0, 2.0]]), 1.0, 0.25)
+        dmap = tape.tensor(np.ones((4, 4)))
+        monkeypatch.setattr(bayes, "posteriors_from_distances", spy)
+        monkeypatch.setattr(Tape, "tensor", recording_tensor)
+        bayes_loss(dmap, np.array([[1.0, 2.0]]), 1.0, 0.25)
         assert requested == [np.dtype(dtype)]
         assert made[0].dtype == dtype and wrapped[0] is made[0]
 

@@ -1,6 +1,7 @@
 """Value types and file-format round trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,31 @@ class TestImageIO:
         with pytest.raises(FormatError):
             load_image(p)
 
+    # Netpbm's header grammar: blanks are space, tab, CR and LF; a '#' comment
+    # runs to the end of its line; exactly one byte separates maxval and raster.
+    # A row expects the one pixel byte it loads, or the FormatError it raises.
+    @pytest.mark.parametrize("blob,expected", [
+        (b"# c\nP5 1 1 255\n\x07", 7),
+        (b"P5 #a\n1 #b\n1 #c\n255\n\x07", 7),
+        (b"P5\r1\t1\n255\n\x07", 7),
+        (b"P5\f1 1 255\n\x07", "bad magic 'P5\\x0c1'"),
+        (b"P5 1\v1 255\n\x07", "non-numeric or oversized width field '1\\x0b1'"),
+        (b"P5 1#c 1 255\n\x07", "non-numeric or oversized width field '1#c'"),
+        (b"P5 1 1 # to the end of the file", "truncated header, missing maxval"),
+        (b"P5 0000000001 1 255\n\x07", "non-numeric or oversized width field '0000000001'"),
+        (b"P5 1 1 255\r\n", 10),
+    ], ids=["comment_before_magic", "comment_between_fields",
+            "cr_lf_tab_separate", "form_feed_joins", "vertical_tab_joins", "hash_inside_width",
+            "comment_to_eof", "ten_digit_width", "crlf_after_maxval"])
+    def test_header_grammar(self, tmp_path, blob, expected):
+        p = tmp_path / "grammar.pgm"
+        p.write_bytes(blob)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError, match=re.escape(expected)):
+                load_image(p)
+        else:
+            assert load_image(p).pixels.tolist() == [[expected / 255]]
+
     def test_loaded_values_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(9)
         p = tmp_path / "i.pgm"
@@ -234,10 +260,13 @@ class TestDensityIO:
         save_density(dm, p)
         assert load_density(p).values.tobytes() == dm.values.tobytes()
 
+    # refused without a warning: a signalling NaN must not reach a float64 cast
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("shape,values", [
         ((1, 2), [0.5, -1.0]),
         ((1, 2), [0.5, np.nan]),
         ((0, 3), []),
+        ((1, 1), np.frombuffer(b"\x01\x00\x80\x7f", dtype="<f4")),  # signalling NaN
     ])
     def test_invalid_payload_is_format_error(self, tmp_path, shape, values):
         p = tmp_path / "q.radm"

@@ -131,7 +131,7 @@ class TestPass1:
         params = init_params(SMALL)
         tape = Tape(np.float32)
         leaves = bind(tape, params, requires_grad=False)
-        feats = _backbone(tape.constant(np.zeros((1, 32, 48))), leaves)
+        feats = _backbone(tape.tensor(np.zeros((1, 32, 48))), leaves)
         assert [f.shape[1:] for f in feats] == [(16, 24), (8, 12), (4, 6), (4, 6)]
 
 
@@ -258,8 +258,8 @@ class TestPass2AndFullForward:
         for run in (network.pass2, two_conv_pass2):
             tape = Tape(np.float64)
             leaves = bind(tape, params)
-            density = run(tape.constant(x_arr), leaves)
-            ad.backward(ad.sum_all(ad.mul(density, tape.constant(cot))))
+            density = run(tape.tensor(x_arr), leaves)
+            ad.backward(ad.sum_all(ad.mul(density, tape.tensor(cot))))
             runs.append((density.data, {name: leaves[name].grad for name in heads}))
         (shared, shared_grads), (split, split_grads) = runs
         assert shared.tobytes() == split.tobytes()

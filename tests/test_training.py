@@ -350,6 +350,11 @@ class TestPinnedConfigFormat:
     def test_document_keys_are_the_field_names(self, config):
         assert list(config.to_dict()) == [f.name for f in dataclasses.fields(config)]
 
+    def test_dict_round_trip_with_a_non_default_net(self):
+        cfg = TrainConfig(lr=5e-4, crop=32, seed=3,
+                          net=NetConfig(pool_grids=(2, 1), dilation_rates=(3,), seed=4))
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_settable_values_by_name(self):
         # the nested net block holds settings but is not one
         names = sorted(f"{cls.__name__}.{f.name}" for cls in (TrainConfig, NetConfig, SceneSpec)
