@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,30 +37,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ranet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scene_defaults = SceneSpec()
-    p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
+    p_gen = sub.add_parser("gen", help="generate a synthetic dataset",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=scene_defaults.seed)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--train", type=int, default=200)
     p_gen.add_argument("--test", type=int, default=50)
-    p_gen.add_argument("--width", type=int, default=scene_defaults.width)
-    p_gen.add_argument("--height", type=int, default=scene_defaults.height)
-    p_gen.add_argument("--min-heads", type=int, default=scene_defaults.min_heads)
-    p_gen.add_argument("--max-heads", type=int, default=scene_defaults.max_heads)
+    p_gen.add_argument("--width", type=int)
+    p_gen.add_argument("--height", type=int)
+    p_gen.add_argument("--min-heads", type=int)
+    p_gen.add_argument("--max-heads", type=int)
 
-    train_defaults = TrainConfig()
-    p_train = sub.add_parser("train", help="train on a generated dataset")
+    p_train = sub.add_parser("train", help="train on a generated dataset",
+                             argument_default=argparse.SUPPRESS)
     p_train.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p_train.add_argument("--out", required=True, help="checkpoint path to write")
-    p_train.add_argument("--epochs", type=int, default=train_defaults.epochs)
-    p_train.add_argument("--lr", type=float, default=train_defaults.lr)
-    p_train.add_argument("--batch", type=int, default=train_defaults.batch_size)
-    p_train.add_argument("--crop", type=int, default=train_defaults.crop)
-    p_train.add_argument("--delta", type=float, default=train_defaults.delta,
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    p_train.add_argument("--crop", type=int)
+    p_train.add_argument("--delta", type=float,
                          help="Gaussian spread of the point-supervision loss, pixels")
-    p_train.add_argument("--d-ratio", type=float, default=train_defaults.d_ratio,
+    p_train.add_argument("--d-ratio", type=float,
                          help="background margin as a fraction of the shorter crop side")
-    p_train.add_argument("--seed", type=int, default=train_defaults.seed)
+    p_train.add_argument("--seed", type=int)
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
     p_train.add_argument("--log", metavar="CSV", default=None)
@@ -85,15 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(cls, args, **nested):
+    """A cls of the settings given; an omitted one is not in args and keeps cls's default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given}, **nested)
+
+
 def _cmd_gen(args) -> int:
-    spec = SceneSpec(
-        width=args.width,
-        height=args.height,
-        min_heads=args.min_heads,
-        max_heads=args.max_heads,
-        seed=args.seed,
-    )
-    manifest = gen_dataset(spec, args.train, args.test, args.out)
+    manifest = gen_dataset(_given(SceneSpec, args), args.train, args.test, args.out)
     print(f"wrote {args.train} train / {args.test} test scenes; manifest at {manifest}")
     return 0
 
@@ -109,17 +109,11 @@ def _check_out_path(path, flag: str) -> None:
 
 def _cmd_train(args) -> int:
     _check_out_path(args.out, "--out")
-    cfg = TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch,
-        crop=args.crop,
-        epochs=args.epochs,
-        delta=args.delta,
-        d_ratio=args.d_ratio,
-        net=NetConfig(seed=args.seed),
-        seed=args.seed,
-    )
-    scenes = load_split(Path(args.data) / "manifest.json", "train")
+    cfg = _given(TrainConfig, args, net=_given(NetConfig, args))  # --seed sets both seeds
+    manifest = Path(args.data) / "manifest.json"
+    scenes = load_split(manifest, "train")
+    if not scenes:
+        raise FormatError(f"{manifest}: split 'train' lists no scenes")
     params, _ = train(scenes, cfg, log_path=args.log)
     save_checkpoint(params, cfg, args.out)
     print(f"checkpoint written to {args.out}")
@@ -183,7 +177,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, OSError, NumericError, ShapeError, TrainingError) as exc:
+    except (FormatError, OSError, MemoryError, NumericError, ShapeError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

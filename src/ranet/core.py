@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -353,11 +354,8 @@ def save_density(dmap: DensityMap, path) -> None:
     ValueError, before the file is opened, if a value exceeds the float32 range."""
     if dmap.values.max() > np.finfo(np.float32).max:
         raise ValueError(f"density value {dmap.values.max():.6g} exceeds the float32 range")
-    header = DENSITY_MAGIC + np.array(
-        [DENSITY_VERSION, dmap.height, dmap.width], dtype="<u4"
-    ).tobytes()
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(struct.pack("<4s3I", DENSITY_MAGIC, DENSITY_VERSION, dmap.height, dmap.width))
         fh.write(dmap.values.astype("<f4").tobytes(order="C"))
 
 
@@ -369,17 +367,17 @@ def load_density(path) -> DensityMap:
         raise FormatError(f"{path}: file shorter than the 16-byte RADM header")
     if data[:4] != DENSITY_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {DENSITY_MAGIC!r}")
-    version, height, width = np.frombuffer(data[4:16], dtype="<u4")
+    version, height, width = struct.unpack_from("<3I", data, 4)
     if version != DENSITY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    expected = int(height) * int(width) * 4
+    expected = height * width * 4
     payload = data[16:]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes but {height}x{width} "
             f"needs {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(int(height), int(width))
+    values = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     try:
         if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
             raise ValueError("density map contains non-finite values")

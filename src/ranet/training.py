@@ -7,8 +7,11 @@ per-epoch telemetry line is `epoch=<i> loss=<f> mae_train=<f>`.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,8 +233,7 @@ def train(
     params = init_params(cfg.net)
     state = OptState.fresh(params)
     history: list[EpochStats] = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         if log_fh:
             log_fh.write("epoch,loss,mae_train,pass1_grad_min,pass1_grad_mean\n")
         for epoch in range(cfg.epochs):
@@ -244,19 +246,12 @@ def train(
                     f"{stats.epoch},{stats.mean_loss:.9g},{stats.mae_train:.9g},"
                     f"{stats.pass1_grad_min:.9g},{stats.pass1_grad_mean:.9g}\n"
                 )
-    finally:
-        if log_fh:
-            log_fh.close()
     return params, history
 
 
 # ---------------------------------------------------------------------------
 # RACK checkpoint format
 # ---------------------------------------------------------------------------
-
-
-def _u32(value: int) -> bytes:
-    return np.array([value], dtype="<u4").tobytes()
 
 
 def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
@@ -269,35 +264,12 @@ def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
             raise ValueError(f"tensor {name!r} holds values that are not finite in float32")
     doc = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(_u32(CHECKPOINT_VERSION))
-        fh.write(_u32(len(doc)))
-        fh.write(doc)
+        fh.write(struct.pack("<4s2I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)) + doc)
         for name, arr in params.items():
             name_b = name.encode("utf-8")
-            fh.write(_u32(len(name_b)))
-            fh.write(name_b)
-            fh.write(_u32(arr.ndim))
-            for dim in arr.shape:
-                fh.write(_u32(dim))
+            fh.write(struct.pack(f"<I{len(name_b)}sI{arr.ndim}I", len(name_b), name_b,
+                                 arr.ndim, *arr.shape))
             fh.write(arr.astype("<f4").tobytes(order="C"))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return int(np.frombuffer(self.take(4), dtype="<u4")[0])
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
@@ -306,34 +278,44 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     from an older build loads if each retired key holds the value now fixed."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob, path)
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    doc = parse_json(r.take(r.u32()), f"{path}: config block")
+    stream = io.BytesIO(blob)
+
+    def unpack(fmt: str) -> tuple:  # struct.error if the file ends first
+        return struct.unpack("<" + fmt, stream.read(struct.calcsize("<" + fmt)))
+
     try:
-        cfg = TrainConfig.from_dict(doc)
-    except ValueError as exc:  # not a valid config
-        raise FormatError(f"{path}: unreadable config block ({exc})") from None
-    expected = param_shapes(cfg.net)
-    params: ModelParams = {}
-    while r.pos < len(blob):
+        if unpack("4s") != (CHECKPOINT_MAGIC,):
+            raise FormatError(f"{path}: bad checkpoint magic")
+        (version,) = unpack("I")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        (doc_len,) = unpack("I")
+        doc = parse_json(*unpack(f"{doc_len}s"), f"{path}: config block")
         try:
-            name = r.take(r.u32()).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: a tensor name is not UTF-8") from None
-        if name not in expected or name in params:
-            raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
-        want = expected[name]
-        rank = r.u32()
-        if rank != len(want) or tuple(r.u32() for _ in range(rank)) != want:
-            raise FormatError(f"{path}: tensor {name!r} is not shaped {want} as the config implies")
-        data = np.frombuffer(r.take(4 * math.prod(want)), dtype="<f4").reshape(want)
-        if not np.isfinite(data).all():
-            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-        params[name] = data.copy()
+            cfg = TrainConfig.from_dict(doc)
+        except ValueError as exc:  # not a valid config
+            raise FormatError(f"{path}: unreadable config block ({exc})") from None
+        expected = param_shapes(cfg.net)
+        params: ModelParams = {}
+        while stream.tell() < len(blob):
+            (name_len,) = unpack("I")
+            try:
+                name = unpack(f"{name_len}s")[0].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: a tensor name is not UTF-8") from None
+            if name not in expected or name in params:
+                raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
+            want = expected[name]
+            (rank,) = unpack("I")
+            if rank != len(want) or unpack(f"{rank}I") != want:
+                raise FormatError(
+                    f"{path}: tensor {name!r} is not shaped {want} as the config implies")
+            data = np.frombuffer(unpack(f"{4 * math.prod(want)}s")[0], "<f4").reshape(want)
+            if not np.isfinite(data).all():
+                raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+            params[name] = data.copy()
+    except struct.error:
+        raise FormatError(f"{path}: truncated checkpoint") from None
     missing = [name for name in expected if name not in params]
     if missing:
         raise FormatError(f"{path}: missing tensors {', '.join(missing)}")

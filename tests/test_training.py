@@ -216,6 +216,8 @@ class TestTrainDriver:
             TrainConfig(crop=20)
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            TrainConfig(epochs=0)
 
     def test_crop_need_not_hold_the_pooling_grids(self):
         # the default grids go up to 6; a 32 crop's 4x4 context map pools into overlapping bins
