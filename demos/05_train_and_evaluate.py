@@ -46,7 +46,7 @@ scene = test_scenes[0]
 dmap, prio = predict(scene.image, params, cfg.net)
 print(f"sample scene: true count {len(scene.annotations)}, "
       f"predicted {dmap.count:.2f}")
-print(f"priority map range [{prio.values.min():.3f}, {prio.values.max():.3f}]")
+print(f"priority map range [{prio.pixels.min():.3f}, {prio.pixels.max():.3f}]")
 
 with tempfile.TemporaryDirectory(prefix="run_") as tmp:
     ckpt = pathlib.Path(tmp) / "model.rack"

@@ -15,7 +15,6 @@ from .core import (
     FormatError,
     GrayImage,
     PointAnnotations,
-    PriorityMap,
     Scene,
     load_annotations,
     load_density,

@@ -110,10 +110,7 @@ def _check_out_path(path, flag: str) -> None:
 def _cmd_train(args) -> int:
     _check_out_path(args.out, "--out")
     cfg = _given(TrainConfig, args, net=_given(NetConfig, args))  # --seed sets both seeds
-    manifest = Path(args.data) / "manifest.json"
-    scenes = load_split(manifest, "train")
-    if not scenes:
-        raise FormatError(f"{manifest}: split 'train' lists no scenes")
+    scenes = load_split(Path(args.data) / "manifest.json", "train")
     params, _ = train(scenes, cfg, log_path=args.log)
     save_checkpoint(params, cfg, args.out)
     print(f"checkpoint written to {args.out}")

@@ -103,13 +103,17 @@ class PointAnnotations:
 
 
 @dataclass(frozen=True)
-class _ValueGrid:
-    """A 2D float64 ``values`` field within the subclass's ``_range``: (name, lo, hi)."""
+class DensityMap:
+    """Non-negative per-pixel density; the grid sum is the predicted count.
 
-    values: np.ndarray  # 2D float64
+    Values live as float64 in memory; the RADM file format quantizes to
+    float32, and loading gives those float32 values back exactly.
+    """
+
+    values: np.ndarray  # 2D float64, row-major
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _grid(self.values, *self._range))
+        object.__setattr__(self, "values", _grid(self.values, "density map", 0.0, math.inf))
 
     @property
     def height(self) -> int:
@@ -118,24 +122,6 @@ class _ValueGrid:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class PriorityMap(_ValueGrid):
-    """Image-sized [0, 1] field marking candidate crowd regions."""
-
-    _range = ("priority map", 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class DensityMap(_ValueGrid):
-    """Non-negative per-pixel density; the grid sum is the predicted count.
-
-    Values live as float64 in memory; the RADM file format quantizes to
-    float32, and loading gives those float32 values back exactly.
-    """
-
-    _range = ("density map", 0.0, math.inf)
 
     @property
     def count(self) -> float:

@@ -169,10 +169,13 @@ def load_manifest(manifest_path) -> dict:
 
 
 def load_split(manifest_path, split: str) -> list[Scene]:
-    """Materialize one split's scenes relative to the manifest location."""
+    """Materialize one split's scenes relative to the manifest location: ValueError
+    for a split other than train or test, FormatError for one that lists no scenes."""
     doc = load_manifest(manifest_path)
-    if split not in doc:
+    if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
+    if not doc[split]:
+        raise FormatError(f"{manifest_path}: split {split!r} lists no scenes")
     base = Path(manifest_path).parent
     scenes = []
     for entry in doc[split]:

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .bayes import bayes_loss
-from .core import ConfigDoc, DensityMap, GrayImage, PriorityMap
+from .core import ConfigDoc, DensityMap, GrayImage
 from .region_aware import ra_apply
 
 ModelParams = dict[str, np.ndarray]
@@ -263,7 +263,7 @@ def full_forward(
 
 def predict(
     img: GrayImage, params: ModelParams, cfg: NetConfig, dtype=np.float32
-) -> tuple[DensityMap, PriorityMap]:
+) -> tuple[DensityMap, GrayImage]:
     """Inference on an image of any size, as float64 value maps of that size.
 
     The image is reflect-padded to ``padded_shape`` for both passes without
@@ -277,5 +277,5 @@ def predict(
     prio2d, density2d = forward(x, leaves, cfg)
     return (
         DensityMap(np.asarray(density2d.data, dtype=np.float64)[:h, :w]),
-        PriorityMap(np.clip(np.asarray(prio2d.data, dtype=np.float64), 0.0, 1.0)[:h, :w]),
+        GrayImage(np.asarray(prio2d.data, dtype=np.float64)[:h, :w]),
     )

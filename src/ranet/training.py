@@ -225,6 +225,8 @@ def train(
     emit=print,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Full run from fresh parameters; emits one telemetry line per epoch."""
+    if not scenes:
+        raise TrainingError("empty training set")
     for scene in scenes:
         if cfg.crop > scene.image.height or cfg.crop > scene.image.width:
             raise TrainingError(

@@ -12,7 +12,6 @@ from ranet.core import (
     FormatError,
     GrayImage,
     PointAnnotations,
-    PriorityMap,
     Scene,
     load_annotations,
     load_density,
@@ -25,7 +24,7 @@ from ranet.core import (
 
 
 class TestTypes:
-    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap, PriorityMap])
+    @pytest.mark.parametrize("cls", [GrayImage, PointAnnotations, DensityMap])
     def test_caller_array_stays_writable_and_unaliased(self, cls):
         arr = np.full((2, 2), 0.5)  # valid for every type
         obj = cls(arr)
@@ -69,9 +68,10 @@ class TestTypes:
             DensityMap(np.array([[-1e-3]]))
 
     def test_priority_range(self):
-        PriorityMap(np.array([[0.0, 1.0]]))
+        # a priority map is a GrayImage: both ends of [0, 1] are inside
+        GrayImage(np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):
-            PriorityMap(np.array([[1.0001]]))
+            GrayImage(np.array([[1.0001]]))
 
 
 class TestImageIO:

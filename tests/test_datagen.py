@@ -148,6 +148,29 @@ class TestManifest:
         assert load_manifest(manifest)["train"][0]["density"] == "train/missing.radm"
         assert len(load_split(manifest, "train")) == 1
 
+    @pytest.mark.parametrize("val", [[{"image": 3}], [{"image": "train/scene_0000.pgm"}], "x"],
+                             ids=["non-string-path", "no-annotations", "not-a-list"])
+    def test_only_train_and_test_are_splits(self, tmp_path, val):
+        manifest = self.write(tmp_path, {"image": "train/scene_0000.pgm",
+                                         "annotations": "train/scene_0000.json"})
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "val": val}))
+        with pytest.raises(ValueError, match=r"^unknown split 'val'$"):
+            load_split(manifest, "val")
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_is_format_error_naming_the_manifest(self, tmp_path, split):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"train": [], "test": []}))
+        with pytest.raises(FormatError) as exc:
+            load_split(manifest, split)
+        assert str(exc.value) == f"{manifest}: split {split!r} lists no scenes"
+
+    def test_malformed_manifest_is_reported_before_an_unknown_split(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"train": [], "val": []}))
+        with pytest.raises(FormatError, match="missing the 'test' list"):
+            load_split(manifest, "val")
+
     @pytest.mark.parametrize("path", ["train/scene\0.pgm", "train/\ud800.pgm"],
                              ids=["nul", "lone-surrogate"])
     def test_path_no_file_name_holds_is_format_error(self, tmp_path, path):

@@ -100,7 +100,7 @@ class TestPass1:
         params = init_params(cfg)
         prio = predict(GrayImage(random_image(64, 64)), params, cfg)[1]
         assert (prio.height, prio.width) == (64, 64)
-        assert prio.values.min() >= 0.0 and prio.values.max() <= 1.0
+        assert prio.pixels.min() >= 0.0 and prio.pixels.max() <= 1.0
 
     def test_rectangular_input(self):
         cfg = NetConfig(seed=1)
@@ -113,7 +113,7 @@ class TestPass1:
         img = GrayImage(random_image())
         a = predict(img, params, SMALL)[1]
         b = predict(img, params, SMALL)[1]
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.pixels.tobytes() == b.pixels.tobytes()
 
     def test_indivisible_side_rejected_with_padding_hint(self):
         params = init_params(SMALL)
@@ -154,7 +154,7 @@ class TestPaddedShape:
         params = init_params(cfg)
         for shape in ((16, 16), (24, 32), (48, 48)):
             dmap, prio = predict(GrayImage(random_image(*shape)), params, cfg)
-            assert dmap.values.shape == prio.values.shape == shape
+            assert dmap.values.shape == prio.pixels.shape == shape
 
     def test_forward_accepts_exactly_the_padded_sizes(self):
         cfg = NetConfig(pool_grids=(1, 3), seed=1)
@@ -170,12 +170,12 @@ class TestPaddedShape:
         params = init_params(SMALL)
         img = random_image(*shape)
         dmap, prio = predict(GrayImage(img), params, SMALL)
-        assert dmap.values.shape == prio.values.shape == shape
+        assert dmap.values.shape == prio.pixels.shape == shape
         (h, w), (ph, pw) = shape, padded_shape(*shape)
         padded = np.pad(img, ((0, ph - h), (0, pw - w)), mode="reflect")
         want_d, want_p = predict(GrayImage(padded), params, SMALL)
         assert dmap.values.tobytes() == want_d.values[:h, :w].tobytes()
-        assert prio.values.tobytes() == want_p.values[:h, :w].tobytes()
+        assert prio.pixels.tobytes() == want_p.pixels[:h, :w].tobytes()
 
 
 class TestFeedback:
@@ -244,7 +244,7 @@ class TestPass2AndFullForward:
         )
         # one forward underneath both: the same float32 values, bit for bit
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
-        assert pm.values.tobytes() == res.priority.data.astype(np.float64).tobytes()
+        assert pm.pixels.tobytes() == res.priority.data.astype(np.float64).tobytes()
         assert dm.count >= 0.0
 
     def test_heads_share_one_convolution(self, monkeypatch):

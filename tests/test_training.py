@@ -153,6 +153,12 @@ class TestTrainEpoch:
         with pytest.raises(TrainingError):
             train_epoch(params, [], cfg, OptState.fresh(params), 0)
 
+    def test_empty_dataset_rejected_before_the_log_is_opened(self, tmp_path):
+        log = tmp_path / "log.csv"
+        with pytest.raises(TrainingError, match="empty training set"):
+            train([], self.cfg(), log_path=log, emit=None)
+        assert not log.exists()
+
     def test_overfit_two_samples(self):
         # optimization sanity: a memorizable 2-scene problem must collapse its
         # own loss.  Start from a miscalibrated density scale (an output bias
