@@ -356,16 +356,6 @@ def _im2col(xp: np.ndarray, offsets: list[int], H: int, W: int) -> np.ndarray:
     return cols.reshape(C * len(offsets), H * W)
 
 
-def _widen(g: np.ndarray, wp: int, L: int) -> np.ndarray:
-    """[F,H,W] -> [F, L]: the rows of g at stride wp, with zeros between them."""
-    F, H, W = g.shape
-    if wp == W:
-        return g.reshape(F, L)
-    gw = np.zeros((F, H, wp), dtype=g.dtype)
-    gw[:, :, :W] = g
-    return gw.reshape(F, H * wp)[:, :L]
-
-
 def _conv_kernel_grad(gw: np.ndarray, xpf: np.ndarray, taps, shape) -> np.ndarray:
     """Kernel gradient of conv2d: per tap, the widened g times the transposed
     run of the flattened padded input at the tap's offset."""
@@ -423,7 +413,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
 
     def widened(g):
         if not wide or wide[0] is not g:
-            wide[:] = (g, _widen(g, wp, L))
+            wide[:] = (g, _pad(g, 0, pw).reshape(F, -1)[:, pw : pw + L])
         return wide[1]
 
     edges = [(k, lambda g: _conv_kernel_grad(widened(g), xpf, taps, k.shape)),

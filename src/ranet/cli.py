@@ -8,6 +8,7 @@ a file, a wrong image shape, non-finite numbers).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -47,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--height", type=int)
     p_gen.add_argument("--min-heads", type=int)
     p_gen.add_argument("--max-heads", type=int)
+    p_gen.set_defaults(run=_cmd_gen, outputs=())  # its --out is a directory it creates
 
     p_train = sub.add_parser("train", help="train on a generated dataset",
                              argument_default=argparse.SUPPRESS)
@@ -64,18 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
     p_train.add_argument("--log", metavar="CSV", default=None)
+    p_train.set_defaults(run=_cmd_train, outputs=("--out", "--log"))
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", choices=("train", "test"), required=True)
     p_eval.add_argument("-v", "--verbose", action="store_true")
+    p_eval.set_defaults(run=_cmd_eval, outputs=())
 
     p_infer = sub.add_parser("infer", help="run inference on one image")
     p_infer.add_argument("--ckpt", required=True)
     p_infer.add_argument("--image", required=True)
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
+    p_infer.set_defaults(run=_cmd_infer, outputs=("--out", "--viz"))
 
     p_ra = sub.add_parser("ra", help="apply the region-aware block to an image pair")
     p_ra.add_argument("--image", required=True)
@@ -83,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ra.add_argument("--out", required=True)
     p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
     p_ra.add_argument("--temp", type=float, default=1.0)
+    p_ra.set_defaults(run=_cmd_ra, outputs=("--out", "--diff"))
     return parser
 
 
@@ -98,17 +104,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_out_path(path, flag: str) -> None:
-    """Refuse an output path that cannot be written, before any work is done."""
-    out = Path(path)
-    if out.is_dir():
-        raise IsADirectoryError(f"{flag} {out}: is a directory")
-    if not out.parent.is_dir():
-        raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
-
-
 def _cmd_train(args) -> int:
-    _check_out_path(args.out, "--out")
     cfg = _given(TrainConfig, args, net=_given(NetConfig, args))  # --seed sets both seeds
     scenes = load_split(Path(args.data) / "manifest.json", "train")
     params, _ = train(scenes, cfg, log_path=args.log)
@@ -127,9 +123,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    _check_out_path(args.out, "--out")
-    if args.viz:
-        _check_out_path(args.viz, "--viz")
     params, cfg = load_checkpoint(args.ckpt)
     dmap, _ = predict(load_image(args.image), params, cfg.net)
     save_density(dmap, args.out)
@@ -140,9 +133,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_ra(args) -> int:
-    _check_out_path(args.out, "--out")
-    if args.diff:
-        _check_out_path(args.diff, "--diff")
     image = load_image(args.image)
     enhanced = enhance(image.pixels, load_image(args.priority).pixels, args.temp)
     save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
@@ -157,13 +147,21 @@ def _save_peak_normalized(values: np.ndarray, path) -> None:
     save_image(GrayImage(values / peak if peak > 0 else np.zeros_like(values)), path)
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "infer": _cmd_infer,
-    "ra": _cmd_ra,
-}
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written, or that an earlier output
+    flag already names, before any input is read."""
+    named = {}
+    for flag in args.outputs:
+        if (path := getattr(args, flag[2:])) is None:
+            continue
+        out = Path(path)
+        if out.is_dir():
+            raise IsADirectoryError(f"{flag} {out}: is a directory")
+        if not out.parent.is_dir():
+            raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
+        first = named.setdefault(os.path.realpath(out), flag)  # Path.resolve raises on a loop
+        if first != flag:
+            raise ValueError(f"{flag} {out}: {first} names the same file")
 
 
 def main(argv=None) -> int:
@@ -173,7 +171,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        _check_outputs(args)
+        return args.run(args)
     except (FormatError, OSError, MemoryError, NumericError, ShapeError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -720,3 +720,58 @@ class TestPrecisionModes:
     def test_bad_dtype_rejected(self):
         with pytest.raises(ValueError):
             Tape(np.int32)
+
+
+def _ones(tape, *shape):
+    return tape.tensor(np.ones(shape))
+
+
+# (operation, exception type, the message fragment naming the operation)
+REFUSALS = {
+    "backward-loss-of-another-tape": (
+        lambda t: t.backward(ad.sum_all(Tape().tensor(np.ones(2), requires_grad=True))),
+        GraphError, "does not belong to this tape"),
+    "add-shapes": (lambda t: ad.add(_ones(t, 2, 3), _ones(t, 3, 2)), ShapeError, "add:"),
+    "mul-shapes": (lambda t: ad.mul(_ones(t, 2), _ones(t, 3)), ShapeError, "mul:"),
+    "reshape-size": (lambda t: ad.reshape(_ones(t, 2, 3), (4,)), ShapeError, "reshape:"),
+    "transpose-3d": (lambda t: ad.transpose(_ones(t, 1, 2, 3)), ShapeError, "transpose:"),
+    "matmul-1d": (lambda t: ad.matmul(_ones(t, 3), _ones(t, 3, 2)), ShapeError, "matmul:"),
+    "softmax_rows-1d": (lambda t: ad.softmax_rows(_ones(t, 3)), ShapeError, "softmax_rows:"),
+    "normalize_columns-3d": (lambda t: ad.normalize_columns(_ones(t, 1, 2, 2)), ShapeError,
+                             "normalize_columns:"),
+    "concat_channels-empty": (lambda t: ad.concat_channels([]), ShapeError, "concat_channels:"),
+    "slice_channels-2d": (lambda t: ad.slice_channels(_ones(t, 2, 3), 0, 1), ShapeError,
+                          "slice_channels:"),
+    "slice_channels-range": (lambda t: ad.slice_channels(_ones(t, 2, 3, 3), 1, 3), ShapeError,
+                             "slice_channels:"),
+    "conv2d-input-rank": (lambda t: ad.conv2d(_ones(t, 3, 3), _ones(t, 1, 1, 3, 3)),
+                          ShapeError, "conv2d:"),
+    "conv2d-kernel-rank": (lambda t: ad.conv2d(_ones(t, 1, 3, 3), _ones(t, 1, 3, 3)),
+                           ShapeError, "conv2d:"),
+    "conv2d-channels": (lambda t: ad.conv2d(_ones(t, 2, 3, 3), _ones(t, 1, 1, 3, 3)),
+                        ShapeError, "conv2d:"),
+    "conv2d-dilation-0": (lambda t: ad.conv2d(_ones(t, 1, 3, 3), _ones(t, 1, 1, 3, 3),
+                                              dilation=0), ValueError, "conv2d:"),
+    "conv2d-dilation-1.5": (lambda t: ad.conv2d(_ones(t, 1, 3, 3), _ones(t, 1, 1, 3, 3),
+                                                dilation=1.5), ValueError, "conv2d:"),
+    "conv2d-bias": (lambda t: ad.conv2d(_ones(t, 1, 3, 3), _ones(t, 2, 1, 3, 3), _ones(t, 3)),
+                    ShapeError, "conv2d:"),
+    "avgpool-rank": (lambda t: ad.avgpool(_ones(t, 4, 4), 2), ShapeError, "avgpool:"),
+    "avgpool-window-0": (lambda t: ad.avgpool(_ones(t, 1, 4, 4), 0), ValueError, "avgpool:"),
+    "avgpool-window-not-dividing": (lambda t: ad.avgpool(_ones(t, 1, 6, 6), 4), ValueError,
+                                    "avgpool:"),
+    "adaptive_avgpool-rank": (lambda t: ad.adaptive_avgpool(_ones(t, 4, 4), 2), ShapeError,
+                              "adaptive_avgpool:"),
+    "adaptive_avgpool-grid-0": (lambda t: ad.adaptive_avgpool(_ones(t, 1, 4, 4), 0),
+                                ValueError, "adaptive_avgpool:"),
+    "upsample_bilinear-rank": (lambda t: ad.upsample_bilinear(_ones(t, 4, 4), 8, 8),
+                               ShapeError, "upsample_bilinear:"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_names_its_operation(name):
+    op, exc, fragment = REFUSALS[name]
+    with pytest.raises(exc, match=fragment) as raised:
+        op(Tape(np.float64))
+    assert raised.type is exc  # a ShapeError is a ValueError: the exact type is the contract

@@ -389,3 +389,10 @@ class TestPosteriorInvariantsAtScale:
             density = RNG.uniform(0, 0.5, size=(h, w))
             per_head, bg = expected_counts(probs, density)
             assert per_head.sum() + bg == pytest.approx(density.sum(), rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4, 4)], ids=["1d", "3d"])
+def test_density_that_is_not_2d_is_refused(shape):
+    dmap = Tape(np.float64).tensor(np.ones(shape), requires_grad=True)
+    with pytest.raises(ShapeError, match="bayes_loss:"):
+        bayes_loss(dmap, np.zeros((0, 2)), 2.0, 0.25)

@@ -12,7 +12,7 @@ import pytest
 from ranet import cli
 from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
-from ranet.datagen import MANIFEST_KEYS, SceneSpec, load_manifest
+from ranet.datagen import MANIFEST_KEYS, SceneSpec, load_manifest, load_split
 from ranet.network import NetConfig, init_params, predict
 from ranet.region_aware import enhance
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
@@ -414,6 +414,109 @@ class TestRaCommand:
         rc = main(["ra", "--image", str(a), "--priority", str(b), "--out", str(o)])
         assert rc == 2
         assert "8" in capsys.readouterr().err
+
+
+class TestOutputRule:
+    """Every declared output flag is checked once, in order, before any input is read."""
+
+    MINIMAL = {
+        "gen": ["gen", "--out", "d"],
+        "train": ["train", "--data", "d", "--out", "m.rack"],
+        "eval": ["eval", "--ckpt", "m.rack", "--data", "d", "--split", "test"],
+        "infer": ["infer", "--ckpt", "m.rack", "--image", "q.pgm", "--out", "d.radm"],
+        "ra": ["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"],
+    }
+
+    @pytest.mark.parametrize("command", MINIMAL)
+    def test_declared_outputs_are_attributes_of_the_namespace(self, command, tmp_path,
+                                                              monkeypatch):
+        # a flag renamed later must not escape the check with an AttributeError
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args(self.MINIMAL[command])
+        assert all(hasattr(args, flag[2:]) for flag in args.outputs)
+        cli._check_outputs(args)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("viz", ["d", "./d", "absolute", "link"])
+    def test_infer_out_and_viz_naming_one_file(self, viz, dataset, checkpoint, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "predict", lambda *a, **k: calls.append(a) or predict(*a, **k))
+        (tmp_path / "link").symlink_to("d")  # dangling until d is written
+        viz = {"absolute": str(tmp_path / "d")}.get(viz, viz)
+        rc = main(["infer", "--ckpt", str(checkpoint),
+                   "--image", str(dataset / "test" / "scene_0000.pgm"),
+                   "--out", "d", "--viz", viz])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 1 and captured.out == "" and calls == []
+        assert err == [f"usage error: --viz {Path(viz)}: --out names the same file"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "link"]
+
+    def test_ra_out_and_diff_naming_one_file(self, tmp_path, capsys):
+        img, out = tmp_path / "q.pgm", tmp_path / "o.pgm"
+        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(out),
+                   "--diff", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1 and err[0].startswith("usage error: --diff ")
+        assert "--out names the same file" in err[0]
+        assert list(tmp_path.iterdir()) == [img]
+
+    def test_train_out_and_log_naming_one_file(self, dataset, tmp_path, capsys):
+        out = tmp_path / "m"
+        rc = main(["train", "--data", str(dataset), "--out", str(out), "--log", str(out),
+                   *FAST_TRAIN])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 1 and "epoch=" not in captured.out
+        assert err == [f"usage error: --log {out}: --out names the same file"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("log, reason", [
+        ("missing/l.csv", "no directory"), ("", "is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unwritable_log_fails_before_the_dataset_is_read(self, log, reason, dataset,
+                                                             tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_split", lambda *a: calls.append(a) or load_split(*a))
+        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
+                   "--log", str(tmp_path / log), *FAST_TRAIN])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 2 and "epoch=" not in captured.out and calls == []
+        assert len(err) == 1 and err[0].startswith("error: --log ") and reason in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "infer", "ra"])
+    def test_empty_optional_path_is_refused_like_an_empty_out(self, command, dataset,
+                                                              checkpoint, tmp_path, capsys):
+        img = tmp_path / "q.pgm"
+        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+        flag, argv = {
+            "train": ("--log", ["train", "--data", str(dataset),
+                                "--out", str(tmp_path / "m.rack"), *FAST_TRAIN]),
+            "infer": ("--viz", ["infer", "--ckpt", str(checkpoint), "--image",
+                                str(dataset / "test" / "scene_0000.pgm"),
+                                "--out", str(tmp_path / "d.radm")]),
+            "ra": ("--diff", ["ra", "--image", str(img), "--priority", str(img),
+                              "--out", str(tmp_path / "o.pgm")]),
+        }[command]
+        rc = main([*argv, flag, ""])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {flag} .: is a directory\n"
+        assert list(tmp_path.iterdir()) == [img]
+
+    def test_output_that_is_a_symlink_loop_is_one_error_line(self, tmp_path, capsys):
+        img, loop = tmp_path / "q.pgm", tmp_path / "loop"
+        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+        loop.symlink_to("loop")
+        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(loop)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == [loop, img]
 
 
 def rewrite_config(blob: bytes, edit) -> bytes:

@@ -282,3 +282,14 @@ class TestDensityIO:
                       + np.array(values, dtype="<f4").tobytes())
         with pytest.raises(FormatError):
             load_density(p)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: GrayImage(np.array([[0.5, np.nan]])), "image contains non-finite"),
+    (lambda: PointAnnotations(np.zeros((2, 3))), r"points must have shape \(N, 2\)"),
+    (lambda: PointAnnotations(np.array([[1.0, np.inf]])), "annotation coordinates must be finite"),
+], ids=["image-non-finite", "points-three-columns", "points-non-finite"])
+def test_invalid_value_is_refused_naming_it(build, fragment):
+    with pytest.raises(ValueError, match=fragment) as raised:
+        build()
+    assert raised.type is ValueError  # a constructor's check, not a file's FormatError

@@ -346,3 +346,8 @@ class TestEndToEndGradient:
             trials += 1
         assert trials >= 20
         assert worst < 1e-3, f"worst end-to-end rel err {worst:.2e}"
+
+
+def test_full_forward_refuses_an_image_that_is_not_2d():
+    with pytest.raises(ShapeError, match="expected a 2D image"):
+        full_forward(np.zeros((1, 16, 16)), np.zeros((0, 2)), init_params(SMALL), SMALL, *BAYES)

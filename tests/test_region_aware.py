@@ -216,3 +216,18 @@ class TestRelevanceMatrixType:
         assert w[0, 0] == 1.0
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(w[1:], 1 / 64, atol=1e-12)
+
+
+def _ones(tape, *shape):
+    return tape.tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("op, fragment", [
+    (lambda t: similarity(_ones(t, 1, 2, 2), _ones(t, 2, 2)), "similarity:"),
+    (lambda t: relevance(_ones(t, 2, 3)), "relevance:"),
+    (lambda t: embed(_ones(t, 2, 2, 2), _ones(t, 2, 2)), "embed:"),
+    (lambda t: embed(_ones(t, 2, 3), _ones(t, 2, 2)), "embed:"),
+], ids=["similarity-3d", "relevance-not-square", "embed-3d", "embed-weight-shape"])
+def test_refusal_names_its_operation(op, fragment):
+    with pytest.raises(ShapeError, match=fragment):
+        op(Tape(np.float64))
