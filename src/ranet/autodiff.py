@@ -1,18 +1,24 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
-A Tape owns every tensor created on it and records one (output, edges) pair
-per primitive application, in execution order.  An edge is (operand, vjp):
-vjp maps the output's gradient to that operand's vector-Jacobian product.
-Besides its checks and forward arithmetic, a primitive only states one vjp
-per operand.  The tape, not the primitive, checks that all operands share
-it, drops the edges of operands that do not require gradient, and adds
-each vjp into its operand's .grad.  A primitive's forward builds only its
-output: an array that only a vjp needs (relu's mask, softplus's logistic,
-abs_val's sign, conv2d's widened g) is built inside that vjp, so a
-tape without gradients does forward work only.  Execution order is
-already a topological order of the graph, so reverse-mode differentiation
-replays the records once, back to front.  No broadcasting: shapes must
-match exactly except where a primitive says otherwise.
+Every tensor is bound to one Tape, which records one (output, edges) pair
+per primitive application, in execution order.  The tape holds gradient
+slots, not tensors: a record is (output node, ((operand node, vjp), ...)),
+where a node is the slot a tensor's .grad lives in, and vjp maps the
+output's gradient to that operand's vector-Jacobian product.  Besides its
+checks and forward arithmetic, a primitive only states one vjp per operand.
+The tape, not the primitive, checks that all operands share it, drops the
+edges of operands that do not require gradient, and adds each vjp into its
+operand's node.  A vjp closes over arrays, shapes and dtypes, never over a
+Tensor, so it keeps only what its formula reads (mul's other operand,
+sigmoid's output, conv2d's padded input and kernel), and an activation that
+no vjp reads is freed as soon as the forward drops it.  relu saves the
+boolean mask of its positive inputs, built only when its input requires
+gradient; any other array that only a vjp needs (softplus's logistic,
+abs_val's sign, conv2d's widened g) is built inside that vjp, so a tape
+without gradients does forward work only.  Execution order is already a
+topological order of the graph, so reverse-mode differentiation replays the
+records once, back to front.  No broadcasting: shapes must match exactly
+except where a primitive says otherwise.
 
 Spatial primitives are matrix products where that is the work.  conv2d
 zero-pads its input once, to [C, Hp, wp], and its record saves that padded
@@ -78,7 +84,7 @@ class Tape:
         if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"tape dtype must be float32 or float64, got {dt}")
         self.dtype = dt
-        self._records: list[tuple[Tensor, tuple]] = []
+        self._records: list[tuple[_Node, tuple]] = []
         self._backward_done = False
 
     def tensor(self, data, requires_grad: bool = False) -> "Tensor":
@@ -100,30 +106,45 @@ class Tape:
         while records:
             out, edges = records.pop()
             if out.grad is not None:
-                for t, vjp in edges:
-                    t.accumulate(vjp(out.grad))
+                for node, vjp in edges:
+                    g = vjp(out.grad)
+                    if node.grad is None:
+                        node.grad = np.array(g, dtype=self.dtype, order="C")
+                    else:
+                        node.grad += g
+
+
+class _Node:
+    """A tensor's gradient slot; the tape's records hold these, not tensors."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
 
 
 class Tensor:
-    """Dense array plus its accumulated gradient, bound to one tape."""
+    """Dense array plus its gradient slot, bound to one tape."""
 
-    __slots__ = ("tape", "data", "grad", "requires_grad")
+    __slots__ = ("tape", "data", "node", "requires_grad")
 
     def __init__(self, tape: Tape, data: np.ndarray, requires_grad: bool):
         self.tape = tape
         self.data = data
-        self.grad: np.ndarray | None = None
+        self.node = _Node()
         self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
-        else:
-            self.grad += g
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -135,12 +156,12 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def _result(data: np.ndarray, *edges) -> Tensor:
-    """Wrap a primitive's output; record the (operand, vjp) edges that need gradient."""
+    """Wrap a primitive's output; record the (operand node, vjp) edges that need gradient."""
     tape = _same_tape(*(t for t, _ in edges))
-    edges = tuple(e for e in edges if e[0].requires_grad)
+    edges = tuple((t.node, vjp) for t, vjp in edges if t.requires_grad)
     out = Tensor(tape, _as_array(data, tape.dtype), bool(edges))
     if edges:
-        tape._records.append((out, edges))
+        tape._records.append((out.node, edges))
     return out
 
 
@@ -167,7 +188,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     _require_finite(a.data, "mul")
     _require_finite(b.data, "mul")
-    return _result(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    av, bv = a.data, b.data
+    return _result(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -180,8 +202,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
-    # subgradient at exactly 0 is 0
-    return _result(np.maximum(x.data, 0), (x, lambda g: g * (x.data > 0)))
+    mask = x.data > 0 if x.requires_grad else None  # subgradient at exactly 0 is 0
+    return _result(np.maximum(x.data, 0), (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -198,11 +220,12 @@ def sigmoid(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     """Smooth non-negative rectifier ln(1 + e^x), computed stably."""
     _require_finite(x.data, "softplus")
-    y = np.logaddexp(0.0, x.data).astype(x.tape.dtype, copy=False)
+    xd = x.data
+    y = np.logaddexp(0.0, xd).astype(x.tape.dtype, copy=False)
 
     def vjp(g):
-        sig = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
-        return g * np.where(x.data >= 0, sig, 1.0 - sig)
+        sig = 1.0 / (1.0 + np.exp(-np.abs(xd)))
+        return g * np.where(xd >= 0, sig, 1.0 - sig)
 
     return _result(y, (x, vjp))
 
@@ -210,7 +233,8 @@ def softplus(x: Tensor) -> Tensor:
 def abs_val(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at the kink."""
     _require_finite(x.data, "abs_val")
-    return _result(np.abs(x.data), (x, lambda g: g * np.sign(x.data)))
+    xd = x.data
+    return _result(np.abs(xd), (x, lambda g: g * np.sign(xd)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +246,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    return _result(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
+    src = x.shape
+    return _result(x.data.reshape(shape), (x, lambda g: g.reshape(src)))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -232,7 +257,8 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _result(x.data.sum(dtype=x.tape.dtype), (x, lambda g: np.full_like(x.data, g)))
+    shape, dt = x.shape, x.data.dtype
+    return _result(x.data.sum(dtype=dt), (x, lambda g: np.full(shape, g, dtype=dt)))
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
@@ -264,12 +290,15 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_channels: [{start}:{stop}] out of range for C={x.shape[0]}")
 
+    shape, dt = x.shape, x.data.dtype
+
     def vjp(g):
-        buf = np.zeros_like(x.data)
+        buf = np.zeros(shape, dtype=dt)
         buf[start:stop] = g
         return buf
 
-    return _result(x.data[start:stop].copy(), (x, vjp))
+    # a leading-axis slice of a C-contiguous array is contiguous: no copy
+    return _result(x.data[start:stop], (x, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +311,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expected 2D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return _result(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+    av, bv = a.data, b.data
+    return _result(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def softmax_rows(s: Tensor) -> Tensor:
@@ -416,8 +446,9 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
             wide[:] = (g, _pad(g, 0, pw).reshape(F, -1)[:, pw : pw + L])
         return wide[1]
 
-    edges = [(k, lambda g: _conv_kernel_grad(widened(g), xpf, taps, k.shape)),
-             (x, lambda g: _conv_input_grad(k.data, widened(g), taps, x.shape))]
+    kd, kshape, xshape = k.data, k.shape, x.shape
+    edges = [(k, lambda g: _conv_kernel_grad(widened(g), xpf, taps, kshape)),
+             (x, lambda g: _conv_input_grad(kd, widened(g), taps, xshape))]
     if bias is not None:
         edges.append((bias, lambda g: g.reshape(F, H * W).sum(axis=1)))
     return _result(out.reshape(F, H, W), *edges)

@@ -580,6 +580,32 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_activation_no_vjp_reads_is_freed_by_the_forward(self):
+        # relu's vjp reads a mask, not its input, so once the forward drops the
+        # conv output nothing holds it; gradients match a run that kept it.
+        gen = np.random.default_rng(27)
+        x_arr, k_arr = gen.normal(size=(2, 6, 5)), gen.normal(size=(3, 2, 3, 3))
+
+        def run(keep):
+            tape = Tape(np.float64)
+            x = tape.tensor(x_arr, requires_grad=True)
+            k = tape.tensor(k_arr, requires_grad=True)
+            y = ad.conv2d(x, k)
+            data = weakref.ref(y.data)
+            z = ad.relu(y)
+            kept = y if keep else None
+            del y
+            assert (data() is not None) == keep
+            ad.backward(ad.sum_all(z))
+            assert kept is None or kept.grad is not None
+            return x.grad.tobytes(), k.grad.tobytes()
+
+        gc.disable()  # freed by reference counting alone, not by a cycle collection
+        try:
+            assert run(keep=False) == run(keep=True)
+        finally:
+            gc.enable()
+
     def test_conv_record_saves_no_column_matrix(self):
         # What a conv2d record keeps is its output and the zero-padded input
         # (1.0 MB here); the column matrix (2.36 MB) is a forward temporary.

@@ -1,10 +1,13 @@
 """Shape/range contracts, determinism, and end-to-end differentiability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ranet import autodiff as ad
-from ranet.autodiff import ShapeError, Tape
+from ranet import datagen
+from ranet.autodiff import ShapeError, Tape, Tensor
 from ranet.core import FormatError, GrayImage
 from ranet import network
 from ranet.network import (
@@ -17,6 +20,7 @@ from ranet.network import (
     predict,
 )
 from ranet.region_aware import ra_apply
+from ranet.training import TrainConfig
 
 from oracles import ORACLE_TOL, rel_err
 
@@ -351,3 +355,62 @@ class TestEndToEndGradient:
 def test_full_forward_refuses_an_image_that_is_not_2d():
     with pytest.raises(ShapeError, match="expected a 2D image"):
         full_forward(np.zeros((1, 16, 16)), np.zeros((0, 2)), init_params(SMALL), SMALL, *BAYES)
+
+
+def _held_by(fn):
+    """fn, and everything its closure cells and defaults hold, nested functions
+    and containers followed."""
+    seen, stack = set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__code__"):
+            stack.extend(obj.__defaults__ or ())
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+
+
+class TestTapeSaving:
+    """The tape holds gradient slots, and each vjp only the arrays it reads."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_record_holds_a_tensor(self, dtype):
+        rng = np.random.default_rng(27)
+        cfg = NetConfig()
+        heads = rng.uniform(0, 31, size=(5, 2))
+        res = full_forward(rng.uniform(0.0, 1.0, size=(32, 32)), heads, init_params(cfg), cfg,
+                           *BAYES, dtype=dtype)
+        records = res.loss.tape._records
+        assert len(records) > 90
+        functions = 0
+        for out, edges in records:
+            assert not isinstance(out, Tensor)
+            for node, vjp in edges:
+                assert not isinstance(node, Tensor)
+                for obj in _held_by(vjp):
+                    assert not isinstance(obj, Tensor), f"a vjp closure holds a Tensor: {vjp}"
+                    functions += hasattr(obj, "__code__")
+        # the walk reached nested functions (conv2d's widened), not only the vjps
+        assert functions > sum(len(edges) for _, edges in records)
+
+    def test_tape_of_a_64_crop_holds_at_most_2_mib(self):
+        # A record keeps only what its vjp reads: conv outputs ahead of a relu,
+        # concatenations, upsamples and pools are freed by the forward.
+        spec = datagen.SceneSpec(min_heads=8, max_heads=8)
+        scene = datagen.gen_scene(spec, 0)
+        cfg, train = NetConfig(), TrainConfig()
+        params = init_params(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = full_forward(scene.image.pixels, scene.annotations.points, params, cfg,
+                               train.delta, train.d_ratio)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(scene.annotations) == 8 and res.loss.tape._records
+        assert held <= 2.0 * 2**20, f"the tape holds {held / 2**20:.2f} MiB"
