@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p_train.add_argument("--out", required=True, help="checkpoint path to write")
     p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--lr", type=float)
     p_train.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
     p_train.add_argument("--crop", type=int)
     p_train.add_argument("--delta", type=float,
@@ -87,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ra.add_argument("--priority", required=True)
     p_ra.add_argument("--out", required=True)
     p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
-    p_ra.add_argument("--temp", type=float, default=1.0)
     p_ra.set_defaults(run=_cmd_ra, outputs=("--out", "--diff"))
     return parser
 
@@ -134,7 +132,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_ra(args) -> int:
     image = load_image(args.image)
-    enhanced = enhance(image.pixels, load_image(args.priority).pixels, args.temp)
+    enhanced = enhance(image.pixels, load_image(args.priority).pixels)
     save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
     if args.diff:
         _save_peak_normalized(np.abs(enhanced - image.pixels), args.diff)

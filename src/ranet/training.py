@@ -24,7 +24,7 @@ from .network import (ModelParams, NetConfig, full_forward, init_params, padded_
 CHECKPOINT_MAGIC = b"RACK"
 CHECKPOINT_VERSION = 1
 
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 CLIP_NORM = 10.0  # batches whose global gradient norm exceeds this are scaled down to it
 
 
@@ -34,7 +34,6 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig(ConfigDoc):
-    lr: float = 1e-3
     batch_size: int = 8
     crop: int = 64
     epochs: int = 30
@@ -48,15 +47,11 @@ class TrainConfig(ConfigDoc):
     net: NetConfig = field(default_factory=NetConfig)
     seed: int = 0
 
-    _retired = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "clip_norm": CLIP_NORM}
+    _retired = {"lr": ADAM_LR, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS,
+                "clip_norm": CLIP_NORM}
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        # _adam_step casts lr to float32: half the smallest subnormal and below become 0
-        if self.lr <= float(np.finfo(np.float32).smallest_subnormal) / 2:
-            raise ValueError(f"lr {self.lr:g} is too small for float32: it rounds to 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if padded_shape(self.crop, self.crop) != (self.crop, self.crop):
@@ -126,15 +121,14 @@ def _global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def _adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptState,
-               lr: float) -> ModelParams:
+def _adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptState) -> ModelParams:
     state.step += 1
     t = state.step
     b1 = np.float32(ADAM_BETA1)
     b2 = np.float32(ADAM_BETA2)
     corr1 = np.float32(1.0 - ADAM_BETA1**t)
     corr2 = np.float32(1.0 - ADAM_BETA2**t)
-    lr = np.float32(lr)
+    lr = np.float32(ADAM_LR)
     eps = np.float32(ADAM_EPS)
     new_params: ModelParams = {}
     for name, p in params.items():
@@ -202,7 +196,7 @@ def train_epoch(
             factor = np.float32(CLIP_NORM / norm)
             grads = {k: g * factor for k, g in grads.items()}
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            params = _adam_step(params, grads, state, cfg.lr)
+            params = _adam_step(params, grads, state)
         bad = next((k for k, a in params.items() if not np.isfinite(a).all()), None)
         if bad is not None:
             raise TrainingError(f"non-finite values in parameter {bad!r} after the step "
@@ -259,8 +253,15 @@ def train(
 def save_checkpoint(params: ModelParams, cfg: TrainConfig, path) -> None:
     """Magic, version, length-prefixed config JSON, then named float32 records.
 
-    ValueError, before the file is opened, if a tensor holds a value that is
-    not finite in float32 (load_checkpoint would refuse it)."""
+    ValueError, before the file is opened, unless the tensors have the names
+    and shapes the config implies and finite float32 values (load_checkpoint
+    would refuse the file)."""
+    shapes = {name: arr.shape for name, arr in params.items()}
+    expected = param_shapes(cfg.net)
+    if shapes != expected:
+        wrong = sorted(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
+        raise ValueError("tensors missing, unexpected or not shaped as the config implies: "
+                         + ", ".join(map(repr, wrong)))
     for name, arr in params.items():
         if not np.all(np.abs(arr) <= np.finfo(np.float32).max):
             raise ValueError(f"tensor {name!r} holds values that are not finite in float32")

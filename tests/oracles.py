@@ -276,3 +276,15 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     pos = x >= 0
     z = np.exp(np.where(pos, -x, x))
     return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
+
+
+def hand_built_rack(config_json: str, params) -> bytes:
+    """A RACK file assembled byte by byte from a config block and parameters."""
+    doc = config_json.encode("utf-8")
+    blob = b"RACK" + np.array([1, len(doc)], dtype="<u4").tobytes() + doc
+    for name, arr in params.items():
+        blob += np.array([len(name)], dtype="<u4").tobytes()
+        blob += name.encode("utf-8")
+        blob += np.array([arr.ndim, *arr.shape], dtype="<u4").tobytes()
+        blob += arr.astype("<f4").tobytes()
+    return blob

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import hand_built_rack
+from ranet import training
 from ranet.core import FormatError, GrayImage, PointAnnotations, Scene
 from ranet.datagen import SceneSpec, gen_scene
 from ranet.network import NetConfig, init_params
@@ -97,7 +99,7 @@ class TestRandomCrop:
 class TestTrainEpoch:
     def cfg(self, **kw):
         base = dict(
-            lr=1e-3, batch_size=2, crop=32, epochs=1, seed=5,
+            batch_size=2, crop=32, epochs=1, seed=5,
             **FAST_BAYES, net=FAST_NET,
         )
         base.update(kw)
@@ -119,10 +121,11 @@ class TestTrainEpoch:
         for k in p1:
             assert p1[k].tobytes() == p2[k].tobytes()
 
-    def test_zero_lr_keeps_params(self):
+    def test_zero_lr_keeps_params(self, monkeypatch):
         scenes = small_scenes(2)
-        # lr must be positive by contract; emulate the null step with lr -> 0
-        cfg = self.cfg(lr=1e-30)
+        # emulate the null step with a step size -> 0
+        monkeypatch.setattr(training, "ADAM_LR", 1e-30)
+        cfg = self.cfg()
         params = init_params(cfg.net)
         before = {k: v.copy() for k, v in params.items()}
         params, _, _ = train_epoch(params, scenes, cfg, OptState.fresh(params), 0)
@@ -138,10 +141,11 @@ class TestTrainEpoch:
         assert stats.pass1_grad_min >= 0.0
 
     @pytest.mark.filterwarnings("error")
-    def test_step_that_leaves_a_parameter_non_finite_names_it(self):
+    def test_step_that_leaves_a_parameter_non_finite_names_it(self, monkeypatch):
         # float32(1e308) is inf, so the first Adam step overflows every kernel
         scenes = small_scenes(2)
-        cfg = self.cfg(lr=1e308)
+        monkeypatch.setattr(training, "ADAM_LR", 1e308)
+        cfg = self.cfg()
         params = init_params(cfg.net)
         with pytest.raises(TrainingError,
                            match=r"'bb\.block1\.k' after the step at epoch 0, batch 0"):
@@ -159,7 +163,7 @@ class TestTrainEpoch:
             train([], self.cfg(), log_path=log, emit=None)
         assert not log.exists()
 
-    def test_overfit_two_samples(self):
+    def test_overfit_two_samples(self, monkeypatch):
         # optimization sanity: a memorizable 2-scene problem must collapse its
         # own loss.  Start from a miscalibrated density scale (an output bias
         # of -4 puts the initial count far above the 13 heads) so epoch 1 is
@@ -168,8 +172,9 @@ class TestTrainEpoch:
             SceneSpec(width=64, height=64, min_heads=12, max_heads=15, seed=33), 0
         )
         scenes = [dense, dense]
+        monkeypatch.setattr(training, "ADAM_LR", 3e-3)
         cfg = TrainConfig(
-            lr=3e-3, batch_size=1, crop=64, epochs=200, seed=0,
+            batch_size=1, crop=64, epochs=200, seed=0,
             delta=4.0, d_ratio=0.45,
             net=NetConfig(seed=0),
         )
@@ -189,8 +194,7 @@ class TestTrainEpoch:
 class TestTrainDriver:
     def test_telemetry_lines(self, capsys):
         scenes = small_scenes(3)
-        cfg = TrainConfig(lr=1e-3, batch_size=2, crop=32, epochs=2, seed=1,
-                          **FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(batch_size=2, crop=32, epochs=2, seed=1, **FAST_BAYES, net=FAST_NET)
         train(scenes, cfg)
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
@@ -199,8 +203,7 @@ class TestTrainDriver:
 
     def test_csv_log(self, tmp_path):
         scenes = small_scenes(2)
-        cfg = TrainConfig(lr=1e-3, batch_size=2, crop=32, epochs=2, seed=1,
-                          **FAST_BAYES, net=FAST_NET)
+        cfg = TrainConfig(batch_size=2, crop=32, epochs=2, seed=1, **FAST_BAYES, net=FAST_NET)
         log = tmp_path / "log.csv"
         train(scenes, cfg, log_path=log, emit=None)
         rows = log.read_text().strip().splitlines()
@@ -214,10 +217,6 @@ class TestTrainDriver:
             train(scenes, cfg, emit=None)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
-        with pytest.raises(ValueError, match="lr 1e-50 is too small for float32"):
-            TrainConfig(lr=1e-50)  # rounds to 0 in the float32 Adam step
         with pytest.raises(ValueError):
             TrainConfig(crop=20)
         with pytest.raises(ValueError, match="seed"):
@@ -259,9 +258,24 @@ class TestCheckpointFormat:
             save_checkpoint(params, cfg, path)
         assert not path.exists()
 
+    def test_tensors_of_another_config_are_refused_before_the_file_opens(self, tmp_path):
+        # grids (1, 2) give the context head two branches, the default config four
+        path = tmp_path / "model.rack"
+        with pytest.raises(ValueError, match="'ctx.fuse.k'"):
+            save_checkpoint(init_params(NetConfig(pool_grids=(1, 2))), TrainConfig(), path)
+        assert not path.exists()
+
+    def test_mis_shaped_tensor_is_refused_before_the_file_opens(self, tmp_path):
+        params = init_params(NetConfig())
+        params["head.out.b"] = np.zeros((1, 1), dtype=np.float32)
+        path = tmp_path / "model.rack"
+        with pytest.raises(ValueError, match="'head.out.b'"):
+            save_checkpoint(params, TrainConfig(), path)
+        assert not path.exists()
+
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = TrainConfig(
-            lr=2e-3, batch_size=4, crop=32, epochs=9, seed=3,
+            batch_size=4, crop=32, epochs=9, seed=3,
             delta=3.5, d_ratio=0.2,
             net=NetConfig(pool_grids=(1, 3), seed=2),
         )
@@ -301,6 +315,12 @@ class TestCheckpointFormat:
 
 # The config block of a default checkpoint as this build writes it.
 DEFAULT_CONFIG_JSON = (
+    '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, '
+    '"net": {"dilation_rates": [1, 2, 3, 4], "pool_grids": [1, 2, 3, 6], "seed": 0}, "seed": 0}'
+)
+
+# The same block as builds with a settable step size wrote it.
+LEGACY_STEP_SIZE_CONFIG_JSON = (
     '{"batch_size": 8, "crop": 64, "d_ratio": 0.1, "delta": 16.0, "epochs": 30, "lr": 0.001, '
     '"net": {"dilation_rates": [1, 2, 3, 4], "pool_grids": [1, 2, 3, 6], "seed": 0}, "seed": 0}'
 )
@@ -338,18 +358,6 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_CHECKPOINT = ROOT / "perfbench/checkpoint/infer256.rack"
 
 
-def hand_built_rack(config_json: str, params) -> bytes:
-    """A RACK file assembled byte by byte from a config block and parameters."""
-    doc = config_json.encode("utf-8")
-    blob = b"RACK" + np.array([1, len(doc)], dtype="<u4").tobytes() + doc
-    for name, arr in params.items():
-        blob += np.array([len(name)], dtype="<u4").tobytes()
-        blob += name.encode("utf-8")
-        blob += np.array([arr.ndim, *arr.shape], dtype="<u4").tobytes()
-        blob += arr.astype("<f4").tobytes()
-    return blob
-
-
 class TestPinnedConfigFormat:
     def test_default_config_serializes_to_pinned_json(self):
         assert json.dumps(TrainConfig().to_dict(), sort_keys=True) == DEFAULT_CONFIG_JSON
@@ -359,7 +367,7 @@ class TestPinnedConfigFormat:
         assert list(config.to_dict()) == [f.name for f in dataclasses.fields(config)]
 
     def test_dict_round_trip_with_a_non_default_net(self):
-        cfg = TrainConfig(lr=5e-4, crop=32, seed=3,
+        cfg = TrainConfig(crop=32, seed=3,
                           net=NetConfig(pool_grids=(2, 1), dilation_rates=(3,), seed=4))
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -372,7 +380,7 @@ class TestPinnedConfigFormat:
             "SceneSpec.height", "SceneSpec.max_heads", "SceneSpec.min_heads", "SceneSpec.seed",
             "SceneSpec.width",
             "TrainConfig.batch_size", "TrainConfig.crop", "TrainConfig.d_ratio",
-            "TrainConfig.delta", "TrainConfig.epochs", "TrainConfig.lr", "TrainConfig.seed",
+            "TrainConfig.delta", "TrainConfig.epochs", "TrainConfig.seed",
         ]
 
     def test_pinned_json_round_trips(self):
@@ -399,22 +407,24 @@ class TestPinnedConfigFormat:
         params = init_params(NetConfig())
         path = tmp_path / "legacy.rack"
         for config_json in (LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON,
-                            LEGACY_TEMPERATURE_CONFIG_JSON):
+                            LEGACY_TEMPERATURE_CONFIG_JSON, LEGACY_STEP_SIZE_CONFIG_JSON):
             path.write_bytes(hand_built_rack(config_json, params))
             loaded, cfg = load_checkpoint(path)
             assert cfg == TrainConfig()
             assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
 
     @pytest.mark.parametrize("config_json", [LEGACY_CONFIG_JSON, LEGACY_ARCHITECTURE_CONFIG_JSON,
-                                             LEGACY_TEMPERATURE_CONFIG_JSON],
-                             ids=["legacy", "legacy_architecture", "legacy_temperature"])
+                                             LEGACY_TEMPERATURE_CONFIG_JSON,
+                                             LEGACY_STEP_SIZE_CONFIG_JSON],
+                             ids=["legacy", "legacy_architecture", "legacy_temperature",
+                                  "legacy_step_size"])
     def test_legacy_block_parses_to_the_default_config(self, config_json):
         assert TrainConfig.from_dict(json.loads(config_json)) == TrainConfig()
 
     def test_declared_retired_keys_are_the_ones_the_readme_lists(self):
         declared = {*TrainConfig._retired, *(f"net.{k}" for k in NetConfig._retired)}
         readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-        listed = re.search(r"thirteen retired keys \(([^)]*)\)", readme).group(1)
+        listed = re.search(r"fourteen retired keys \(([^)]*)\)", readme).group(1)
         assert declared == set(re.findall(r"`([^`]+)`", listed))
 
     def test_committed_legacy_checkpoint_loads(self):
@@ -423,7 +433,7 @@ class TestPinnedConfigFormat:
         assert list(params) == list(init_params(NetConfig()))
 
     @pytest.mark.parametrize("block,key,value", [
-        (None, "beta1", 0.8), (None, "beta2", 0.99), (None, "eps", 1e-6),
+        (None, "lr", 0.002), (None, "beta1", 0.8), (None, "beta2", 0.99), (None, "eps", 1e-6),
         (None, "clip_norm", -10.0), (None, "clip_norm", "10.0"),
         ("net", "two_tower", True), ("net", "two_tower", 0),
         ("net", "ra_column_normalize", True),
@@ -441,7 +451,7 @@ class TestPinnedConfigFormat:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
-        ("lr", "0.001"), ("epochs", 30.0), ("epochs", True), ("delta", float("nan")),
+        ("d_ratio", "0.1"), ("epochs", 30.0), ("epochs", True), ("delta", float("nan")),
     ])
     def test_mistyped_value_is_format_error(self, key, value):
         doc = json.loads(DEFAULT_CONFIG_JSON)
@@ -455,7 +465,7 @@ class TestPinnedConfigFormat:
         with pytest.raises(FormatError, match="pool_grids"):
             TrainConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["d_ratio", "net", "lr"])
+    @pytest.mark.parametrize("key", ["d_ratio", "net", "delta"])
     def test_missing_key_is_format_error(self, key):
         doc = json.loads(DEFAULT_CONFIG_JSON)
         del doc[key]
