@@ -25,8 +25,20 @@ zero-pads its input once, to [C, Hp, wp], and its record saves that padded
 input, not a column matrix.  The forward multiplies the kernel, seen as
 [F, C*kh*kw], by the im2col matrix of the kh*kw shifted H x W windows of the
 padded input (for a 1x1 kernel, the input itself), a temporary of the
-forward.  Both gradients read the padded input flattened to [C, Hp*wp]: tap
-(i, j) is the shift o = i*d*wp + j*d, so its view of every output position
+forward.  A column matrix over COLUMN_BUDGET (16 MiB) is never built whole.
+Its columns, the output positions in row-major order, are split into the
+fewest blocks that fit, all but the last of one width, a multiple of
+COLUMN_ALIGN (64).  Each block lowers the output rows it touches, at most
+two rows more than its own columns, and is multiplied into its columns of
+one preallocated [F, H*W] output.  BLAS then cuts every block into register
+tiles where it cuts the whole product, so each output is the same sum in
+the same order.  Blocks of whole rows would not be: at an odd width a
+multiple of 64 columns takes 64 rows, which leaves thin last blocks, and
+BLAS sums a small product's edge columns in another order.  Matrices that
+fit, among them all of a float32 256 x 256 predict (at most 9 MiB) and of
+a 64 or 128 training crop, keep the single product.  Both gradients read
+the padded input flattened to [C, Hp*wp]: tap (i, j) is the shift
+o = i*d*wp + j*d, so its view of every output position
 is one slice of length L = (H-1)*wp + W, and g is widened to that layout by
 wp - W zero columns after each row.  The kernel gradient of a tap is the
 widened g times the transposed slice at its offset.  The input gradient is
@@ -66,6 +78,13 @@ class NumericError(ArithmeticError):
 
 class GraphError(RuntimeError):
     """Tape misuse: cross-tape operands, repeated backward, non-scalar loss."""
+
+
+# bytes: the most of an im2col matrix that conv2d's forward multiplies at once
+COLUMN_BUDGET = 16 << 20
+# columns: every block of that matrix but the last is a multiple, which any
+# BLAS register tile of a power-of-two width up to 64 divides
+COLUMN_ALIGN = 64
 
 
 def _as_array(data, dtype) -> np.ndarray:
@@ -386,6 +405,26 @@ def _im2col(xp: np.ndarray, offsets: list[int], H: int, W: int) -> np.ndarray:
     return cols.reshape(C * len(offsets), H * W)
 
 
+def _lowered_product(kf: np.ndarray, xp: np.ndarray, offsets: list[int], H: int, W: int):
+    """kf [F, C*T] times the im2col matrix of padded xp, as [F, H*W], built in
+    blocks of output columns when it exceeds COLUMN_BUDGET bytes."""
+    C, Hp, _ = xp.shape
+    col_bytes = C * len(offsets) * xp.itemsize if len(offsets) > 1 else 0
+    if H * W * col_bytes <= COLUMN_BUDGET:
+        return kf @ _im2col(xp, offsets, H, W)
+    fit = max(1, COLUMN_BUDGET // col_bytes // COLUMN_ALIGN) * COLUMN_ALIGN
+    blocks = -(-H * W // fit)
+    size = -(-H * W // (blocks * COLUMN_ALIGN)) * COLUMN_ALIGN
+    out = np.empty((kf.shape[0], H * W), dtype=xp.dtype)
+    for p in range(0, H * W, size):
+        q = min(p + size, H * W)
+        lo, hi = p // W, -(-q // W)  # the output rows that columns p..q-1 lie in
+        cols = _im2col(xp[:, lo : hi + Hp - H], offsets, hi - lo, W)
+        np.matmul(kf, cols[:, p - lo * W : q - lo * W], out=out[:, p:q])
+        del cols  # freed before the next block's columns are built
+    return out
+
+
 def _conv_kernel_grad(gw: np.ndarray, xpf: np.ndarray, taps, shape) -> np.ndarray:
     """Kernel gradient of conv2d: per tap, the widened g times the transposed
     run of the flattened padded input at the tap's offset."""
@@ -434,7 +473,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     H, W = x.shape[1], x.shape[2]
     taps = ph, pw, wp, L, offsets = _taps(H, W, kh, kw, int(dilation))
     xp = _pad(x.data, ph, pw)
-    out = k.data.reshape(F, C * kh * kw) @ _im2col(xp, offsets, H, W)
+    out = _lowered_product(k.data.reshape(F, C * kh * kw), xp, offsets, H, W)
     if bias is not None:
         out += bias.data[:, None]
 

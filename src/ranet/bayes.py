@@ -62,6 +62,17 @@ def posteriors_from_distances(
         out = np.ones((1, height * width), dtype=dtype)
         out.flags.writeable = False
         return out
+    # The log-likelihoods reach -max(sq, d^2) / (2 delta^2).  Both are bounded by
+    # the largest axis offsets, which lie at the grid's first or last column and
+    # row, squared as Python floats (they overflow to inf without a warning)
+    # before anything is cast; the floor of 1 keeps 1 / (2 delta^2) finite too.
+    ends = np.array([[0.0, 0.0], [width - 1.0, height - 1.0]])
+    ox, oy = np.abs(heads[:, None, :] - ends).max(axis=(0, 1)).tolist()
+    reach = max(ox * ox + oy * oy, d * d, 1.0)
+    top, two_d2 = float(np.finfo(dtype).max), 2.0 * delta * delta
+    if not (reach <= top and two_d2 > 0 and reach / two_d2 <= top):
+        raise ValueError(f"posteriors: delta {delta:g} is too small for {dtype}: a squared "
+                         f"distance of {reach:g}, or it over 2 delta^2, overflows it")
     out = np.empty((n + 1, height * width), dtype=dtype)
     sq = out[:n]
     # squared axis offsets in float64, each rounded once to dtype
@@ -69,12 +80,7 @@ def posteriors_from_distances(
     dy2 = np.square(heads[:, 1:] - np.arange(height, dtype=np.float64)).astype(dtype, copy=False)
     np.add(dx2[:, None, :], dy2[:, :, None], out=sq.reshape(n, height, width))  # x^2 + y^2
     min_sq = sq.min(axis=0)
-    # The log-likelihoods reach -max(sq, d^2) / (2 delta^2), bounded from the axis offsets.
-    reach = max(float(dx2.max()) + float(dy2.max()), d * d, 1.0)
-    if reach > float(np.finfo(dtype).max) * (2.0 * delta * delta):
-        raise ValueError(f"posteriors: delta {delta:g} is too small for {dtype}: "
-                         f"a squared distance of {reach:g} over 2 delta^2 overflows it")
-    inv = 1.0 / (2.0 * delta * delta)
+    inv = 1.0 / two_d2
     sq *= -inv  # log foreground likelihoods
     bg = out[n]
     np.subtract(d, np.sqrt(min_sq), out=bg)

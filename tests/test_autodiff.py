@@ -189,6 +189,40 @@ class TestConv2d:
             assert check_gradient(fk, k_arr, k.grad, 4, RNG) < PRIMITIVE_TOL
             assert check_gradient(fb, b_arr, b.grad, 2, RNG) < PRIMITIVE_TOL
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 4], ids=lambda d: f"d{d}")
+    @pytest.mark.parametrize(("kernel", "W", "budget", "blocks"), [
+        ((3, 3), 64, 64, 20),   # one output row per block
+        ((3, 3), 64, 192, 7),   # six blocks of 3 rows, the last of 2
+        ((3, 5), 20, 150, 4),   # blocks of 128 columns end mid-row; the last has 16
+        ((3, 3), 7, 64, 3),     # an odd width: 64, 64 and 12 columns
+        ((3, 3), 7, 140, 1),    # the whole matrix fits: one product
+        ((1, 1), 64, 64, 1),    # a 1x1 kernel's columns are the input itself and cost nothing
+    ], ids=["rows1", "rows3", "midrow", "odd", "whole", "k1"])
+    def test_column_blocks_are_bit_identical(self, monkeypatch, dtype, dilation, kernel, W, budget,
+                                             blocks):
+        C, H, F = 3, 20, 4
+        rng = np.random.default_rng(dilation)
+        x_arr, g_arr = rng.normal(size=(C, H, W)), rng.normal(size=(F, H, W))
+        k_arr, b_arr = rng.normal(size=(F, C) + kernel), rng.normal(size=F)
+        lowered = []
+        monkeypatch.setattr(ad, "_im2col", lambda *a, f=ad._im2col: lowered.append(a) or f(*a))
+
+        def run(budget_bytes):
+            monkeypatch.setattr(ad, "COLUMN_BUDGET", budget_bytes)
+            lowered.clear()
+            tape = Tape(dtype)
+            x, k, b = (tape.tensor(a, requires_grad=True) for a in (x_arr, k_arr, b_arr))
+            out = ad.conv2d(x, k, bias=b, dilation=dilation)
+            ad.backward(ad.sum_all(ad.mul(out, tape.tensor(g_arr))))
+            return [a.tobytes() for a in (out.data, x.grad, k.grad, b.grad)]
+
+        whole = run(1 << 62)
+        assert len(lowered) == 1
+        # a budget of `budget` columns of the column matrix
+        assert run(budget * C * kernel[0] * kernel[1] * np.dtype(dtype).itemsize) == whole
+        assert len(lowered) == blocks
+
 
 class TestPooling:
     def test_window_mean(self):

@@ -151,6 +151,15 @@ class TestFloat32Posteriors:
             posteriors_from_distances(64, 64, heads, delta, 6.4, dtype)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far, dtype", [(1e200, np.float64), (1e20, np.float32)],
+                             ids=["f64", "f32"])
+    def test_head_too_far_for_the_dtype_is_refused_before_any_warning(self, far, dtype):
+        # the squared offset overflows the dtype even at the default delta, and
+        # at float64 a bound of the form max * 2 delta^2 is itself inf
+        with pytest.raises(ValueError, match="delta"):
+            posteriors_from_distances(8, 8, np.array([[far, 0.0]]), 16.0, 0.8, dtype)
+
+    @pytest.mark.filterwarnings("error")
     def test_small_delta_that_fits_still_sums_to_one(self):
         heads = _random_heads(90, 128, 128, np.random.default_rng(12))
         probs = posteriors_from_distances(128, 128, heads, 1e-3, 12.8, np.float32)

@@ -414,3 +414,41 @@ class TestTapeSaving:
             tracemalloc.stop()
         assert len(scene.annotations) == 8 and res.loss.tape._records
         assert held <= 2.0 * 2**20, f"the tape holds {held / 2**20:.2f} MiB"
+
+
+def _predict_peak_bytes(side, dtype):
+    cfg = NetConfig()
+    params = init_params(cfg)
+    image = GrayImage(np.random.default_rng(29).uniform(0.0, 1.0, size=(side, side)))
+    tracemalloc.start()
+    try:
+        predict(image, params, cfg, dtype)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictMemory:
+    """conv2d multiplies at most autodiff.COLUMN_BUDGET bytes of an im2col matrix at once."""
+
+    @pytest.mark.parametrize(("side", "dtype", "limit_mib"), [
+        (256, np.float64, 24),  # 30.4 MiB with the whole 18 MiB heads column matrix
+        (512, np.float32, 40),  # 60.1 MiB with it
+    ], ids=["256-f64", "512-f32"])
+    def test_peak(self, side, dtype, limit_mib):
+        peak = _predict_peak_bytes(side, dtype)
+        assert peak <= limit_mib * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB"
+
+    def test_a_256_float32_predict_is_never_split(self, monkeypatch):
+        # Splitting the products of the float32 256^2 predict changes its heap
+        # pattern, and glibc then trims the heap after every call: a budget
+        # must hold its largest column matrix whole.
+        shapes = []
+        conv2d = ad.conv2d
+        monkeypatch.setattr(ad, "conv2d", lambda x, k, *a, **kw:
+                            shapes.append((x.shape, k.shape)) or conv2d(x, k, *a, **kw))
+        cfg = NetConfig()
+        predict(GrayImage(np.zeros((256, 256))), init_params(cfg), cfg, np.float32)
+        col_bytes = [C * kh * kw * H * W * 4 if kh * kw > 1 else 0
+                     for (C, H, W), (_, _, kh, kw) in shapes]
+        assert max(col_bytes) <= ad.COLUMN_BUDGET
