@@ -28,6 +28,15 @@ from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tensor
 
 
+def check_spread(delta: float, reach: float, dtype) -> None:
+    """ValueError unless ``dtype`` holds a squared distance up to ``reach`` and it over
+    2 delta^2, the largest magnitude a log-likelihood of the posteriors takes."""
+    top, two_d2 = float(np.finfo(dtype).max), 2.0 * delta * delta
+    if not (reach <= top and two_d2 > 0 and reach / two_d2 <= top):
+        raise ValueError(f"delta {delta:g} is too small for {np.dtype(dtype)}: a squared "
+                         f"distance of {reach:g}, or it over 2 delta^2, overflows it")
+
+
 def posteriors_from_distances(
     height: int, width: int, heads: np.ndarray, delta: float, d: float, dtype=np.float64
 ) -> np.ndarray:
@@ -68,11 +77,7 @@ def posteriors_from_distances(
     # before anything is cast; the floor of 1 keeps 1 / (2 delta^2) finite too.
     ends = np.array([[0.0, 0.0], [width - 1.0, height - 1.0]])
     ox, oy = np.abs(heads[:, None, :] - ends).max(axis=(0, 1)).tolist()
-    reach = max(ox * ox + oy * oy, d * d, 1.0)
-    top, two_d2 = float(np.finfo(dtype).max), 2.0 * delta * delta
-    if not (reach <= top and two_d2 > 0 and reach / two_d2 <= top):
-        raise ValueError(f"posteriors: delta {delta:g} is too small for {dtype}: a squared "
-                         f"distance of {reach:g}, or it over 2 delta^2, overflows it")
+    check_spread(delta, max(ox * ox + oy * oy, d * d, 1.0), dtype)
     out = np.empty((n + 1, height * width), dtype=dtype)
     sq = out[:n]
     # squared axis offsets in float64, each rounded once to dtype
@@ -80,7 +85,7 @@ def posteriors_from_distances(
     dy2 = np.square(heads[:, 1:] - np.arange(height, dtype=np.float64)).astype(dtype, copy=False)
     np.add(dx2[:, None, :], dy2[:, :, None], out=sq.reshape(n, height, width))  # x^2 + y^2
     min_sq = sq.min(axis=0)
-    inv = 1.0 / two_d2
+    inv = 1.0 / (2.0 * delta * delta)
     sq *= -inv  # log foreground likelihoods
     bg = out[n]
     np.subtract(d, np.sqrt(min_sq), out=bg)

@@ -1,7 +1,9 @@
 """Domain value types and bit-exact image / annotation / density I/O.
 
 All raster types wrap read-only numpy arrays so instances can be shared
-freely across threads.  File formats:
+freely across threads.  Images hold float32 pixels, the precision every
+training and inference tape reads; density maps and annotations hold
+float64.  File formats:
 
 * images: binary PGM (magic ``P5``, ASCII width/height, maxval 255) in Netpbm's
   grammar: header fields split by blanks (space, tab, CR, LF) and ``#`` comments
@@ -31,16 +33,25 @@ class FormatError(ValueError):
     """A file does not conform to its declared on-disk format."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    # Copy a writable array, so the caller's own array is neither frozen nor shared.
-    arr = arr.copy(order="C") if arr.flags.writeable else np.ascontiguousarray(arr)
+def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array.  One already so is kept;
+    any other is copied, so the caller's own array is neither frozen nor shared."""
+    if arr.dtype == dtype and arr.flags.c_contiguous and not arr.flags.writeable:
+        return arr
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
 
-def _grid(values, what: str, lo: float, hi: float) -> np.ndarray:
-    """``values`` as a read-only float64 grid: 2D, non-empty, finite, within [lo, hi]."""
-    v = np.asarray(values, dtype=np.float64)
+def _grid(values, what: str, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` grid: 2D, non-empty, finite, within [lo, hi].
+
+    The checks read float64 values, so none passes that rounding to ``dtype`` would
+    bring into range; a float32 grid is checked as it is, since float64 holds it exactly.
+    """
+    v = np.asarray(values)
+    if v.dtype != np.float32:
+        v = v.astype(np.float64, copy=False)
     if v.ndim != 2 or v.size == 0:
         raise ValueError(f"{what} must be a non-empty 2D grid, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -50,17 +61,17 @@ def _grid(values, what: str, lo: float, hi: float) -> np.ndarray:
             f"{what} values must lie in [{lo:g}, {hi:g}], "
             f"got range [{v.min():.6g}, {v.max():.6g}]"
         )
-    return _readonly(v)
+    return _readonly(v, dtype)
 
 
 @dataclass(frozen=True)
 class GrayImage:
     """Single-channel raster with pixel values in [0, 1]."""
 
-    pixels: np.ndarray  # 2D float64, row-major
+    pixels: np.ndarray  # 2D float32, row-major; the given values are checked in float64
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _grid(self.pixels, "image", 0.0, 1.0))
+        object.__setattr__(self, "pixels", _grid(self.pixels, "image", 0.0, 1.0, np.float32))
 
     @property
     def height(self) -> int:
@@ -222,7 +233,7 @@ _PGM_HEADER = re.compile((rb"(?:" + _PGM_FIELD) * 4 + rb")?" * 4)
 
 
 def load_image(path) -> GrayImage:
-    """Read a binary PGM file into a GrayImage (byte b maps to b / 255)."""
+    """Read a binary PGM file into a GrayImage (byte b maps to b / 255, held as float32)."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -256,9 +267,14 @@ def load_image(path) -> GrayImage:
     return GrayImage(raster.astype(np.float64) / 255.0)
 
 
+def _byte_values(img: GrayImage) -> np.ndarray:
+    """The PGM bytes of an image: round(p * 255), taken in float64."""
+    return np.rint(img.pixels.astype(np.float64) * 255.0)
+
+
 def save_image(img: GrayImage, path) -> None:
     """Write a GrayImage as binary PGM; values are quantized by round(p * 255)."""
-    raster = np.rint(img.pixels * 255.0).astype(np.uint8)
+    raster = _byte_values(img).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -267,7 +283,7 @@ def save_image(img: GrayImage, path) -> None:
 
 def quantize_image(img: GrayImage) -> GrayImage:
     """The image as it will read back after a save/load round trip."""
-    return GrayImage(np.rint(img.pixels * 255.0) / 255.0)
+    return GrayImage(_byte_values(img) / 255.0)
 
 
 # ---------------------------------------------------------------------------

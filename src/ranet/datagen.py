@@ -75,6 +75,12 @@ def _stamp_disc(canvas: np.ndarray, x: float, y: float, radius: float, peak: flo
 
 def gen_scene(spec: SceneSpec, index: int) -> Scene:
     """Render scene number `index`; deterministic in (spec.seed, index)."""
+    canvas, ann = _render(spec, index)
+    return Scene(GrayImage(canvas), ann)
+
+
+def _render(spec: SceneSpec, index: int) -> tuple[np.ndarray, PointAnnotations]:
+    """Scene number `index` as its float64 canvas in [0, 1] and its head points."""
     rng = np.random.default_rng([spec.seed, int(index)])
     h, w = spec.height, spec.width
     canvas = np.full((h, w), BACKGROUND_LEVEL, dtype=np.float64)
@@ -100,10 +106,8 @@ def gen_scene(spec: SceneSpec, index: int) -> Scene:
         pts.append((x, y))
 
     canvas += rng.uniform(0.0, NOISE_AMPLITUDE, size=(h, w))
-    canvas = np.clip(canvas, 0.0, 1.0)
-
-    ann = PointAnnotations(np.array(pts, dtype=np.float64).reshape(len(pts), 2))
-    return Scene(GrayImage(canvas), ann)
+    np.clip(canvas, 0.0, 1.0, out=canvas)
+    return canvas, PointAnnotations(np.array(pts, dtype=np.float64).reshape(len(pts), 2))
 
 
 def head_mask(scene: Scene) -> np.ndarray:
@@ -126,7 +130,9 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
     """Write one image and one annotation file per scene, and manifest.json.
 
     Test scenes use indices n_train .. n_train + n_test - 1, so the same
-    spec always produces the same bytes for every file.
+    spec always produces the same bytes for every file.  Each image is
+    quantized from its float64 canvas, before the float32 rounding of
+    GrayImage could move a pixel across a byte boundary.
     """
     if n_train < 0 or n_test < 0:
         raise ValueError(f"scene counts must be >= 0, got {n_train} train / {n_test} test")
@@ -135,10 +141,10 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
     for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
         (out / split).mkdir(parents=True, exist_ok=True)
         for i in range(count):
-            scene = gen_scene(spec, base + i)
+            canvas, ann = _render(spec, base + i)
             stem = f"{split}/scene_{i:04d}"
-            save_image(scene.image, out / f"{stem}.pgm")
-            save_annotations(scene.annotations, out / f"{stem}.json")
+            save_image(GrayImage(np.rint(canvas * 255.0) / 255.0), out / f"{stem}.pgm")
+            save_annotations(ann, out / f"{stem}.json")
             manifest[split].append({"image": f"{stem}.pgm", "annotations": f"{stem}.json"})
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")

@@ -264,7 +264,8 @@ def full_forward(
 def predict(
     img: GrayImage, params: ModelParams, cfg: NetConfig, dtype=np.float32
 ) -> tuple[DensityMap, GrayImage]:
-    """Inference on an image of any size, as float64 value maps of that size.
+    """Inference on an image of any size: its float64 density map and its
+    priority map (a GrayImage, so float32), both of that size.
 
     The image is reflect-padded to ``padded_shape`` for both passes without
     gradients, and the maps are cropped back.
@@ -277,5 +278,5 @@ def predict(
     prio2d, density2d = forward(x, leaves, cfg)
     return (
         DensityMap(np.asarray(density2d.data, dtype=np.float64)[:h, :w]),
-        GrayImage(np.asarray(prio2d.data, dtype=np.float64)[:h, :w]),
+        GrayImage(prio2d.data[:h, :w]),
     )

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .bayes import check_spread
 from .core import ConfigDoc, FormatError, GrayImage, PointAnnotations, Scene, parse_json
 from .network import (ModelParams, NetConfig, full_forward, init_params, padded_shape,
                       param_shapes, pass1_param_names)
@@ -62,6 +63,9 @@ class TrainConfig(ConfigDoc):
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not (0 < self.d_ratio < 1):
             raise ValueError(f"d_ratio must lie in (0, 1), got {self.d_ratio}")
+        # a head and a pixel of one crop lie less than crop apart on each axis,
+        # and the background band d = d_ratio * crop is nearer still
+        check_spread(self.delta, 2.0 * self.crop * self.crop, np.float32)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -41,6 +41,17 @@ def dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def head_free_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("head_free")
+    rc = main([
+        "gen", "--out", str(root), "--seed", "3", "--train", "2", "--test", "1",
+        "--width", "32", "--height", "32", "--min-heads", "0", "--max-heads", "0",
+    ])
+    assert rc == 0
+    return root
+
+
+@pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("ckpt") / "model.rack"
     rc = main([
@@ -215,15 +226,21 @@ class TestTrainEval:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("flag, value, reason", [
-        ("--delta", "1e-300", "delta"), ("--delta", "1e-20", "delta"),
-    ], ids=["delta-1e-300", "delta-1e-20"])
-    def test_setting_too_small_for_float32_is_one_usage_error(self, flag, value, reason,
-                                                               dataset, tmp_path, capsys):
-        rc = main(["train", "--data", str(dataset), "--out", str(tmp_path / "m.rack"),
-                   *FAST_TRAIN, flag, value])
+    @pytest.mark.parametrize("flag, value, reason, data", [
+        ("--delta", "1e-300", "delta", "dataset"), ("--delta", "1e-20", "delta", "dataset"),
+        ("--delta", "1e-30", "delta", "dataset"),
+        ("--delta", "1e-30", "delta", "head_free_dataset"),
+    ], ids=["delta-1e-300", "delta-1e-20", "delta-1e-30", "delta-1e-30-head-free"])
+    def test_setting_too_small_for_float32_is_one_usage_error(self, flag, value, reason, data,
+                                                               request, tmp_path, capsys,
+                                                               monkeypatch):
+        # refused before any data is read, so also where no posteriors would be built
+        reads = []
+        monkeypatch.setattr(cli, "load_split", lambda *args: reads.append(args))
+        rc = main(["train", "--data", str(request.getfixturevalue(data)),
+                   "--out", str(tmp_path / "m.rack"), *FAST_TRAIN, flag, value])
         captured = capsys.readouterr()
-        assert rc == 1 and "epoch=" not in captured.out
+        assert rc == 1 and "epoch=" not in captured.out and reads == []
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ") and reason in err[0]
         assert list(tmp_path.iterdir()) == []

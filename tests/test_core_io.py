@@ -34,6 +34,26 @@ class TestTypes:
         arr[0, 0] = 0.25
         assert stored[0, 0] == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_image_stores_read_only_float32(self, dtype):
+        arr = np.array([[0.25, 1.0 / 3.0]], dtype=dtype)
+        img = GrayImage(arr)
+        assert img.pixels.dtype == np.float32 and not img.pixels.flags.writeable
+        assert img.pixels.flags.c_contiguous and img.pixels is not arr
+        assert img.pixels.tolist() == [[0.25, float(np.float32(1.0 / 3.0))]]
+
+    def test_image_keeps_a_read_only_float32_array_without_a_copy(self):
+        arr = np.array([[0.5, 0.75]], dtype=np.float32)
+        arr.flags.writeable = False
+        assert GrayImage(arr).pixels is arr
+        assert GrayImage(arr[:, ::-1]).pixels.flags.c_contiguous  # a strided view is copied
+
+    def test_image_values_are_checked_before_the_float32_rounding(self):
+        # both round to 1.0 and 0.0 in float32, but lie outside [0, 1]
+        for bad in (1.0 + 2.0**-40, -1e-50):
+            with pytest.raises(ValueError, match="must lie in"):
+                GrayImage(np.array([[bad]]))
+
     @pytest.mark.parametrize("n_heads", [0, 2])
     def test_posteriors_are_read_only(self, n_heads):
         probs = posteriors_from_distances(2, 3, np.ones((n_heads, 2)), 1.0, 1.0)
@@ -113,6 +133,25 @@ class TestImageIO:
         save_image(img, p)
         np.testing.assert_array_equal(load_image(p).pixels, quantize_image(img).pixels)
 
+    def test_round_trip_at_half_byte_boundaries(self, tmp_path):
+        # float32 pixels at and one ulp either side of (k + 1/2) / 255; for 128 of
+        # them p * 255 rounds to another byte in float32 than in float64
+        mid = ((np.arange(255) + 0.5) / 255).astype(np.float32)
+        pixels = np.stack([np.nextafter(mid, np.float32(0)), mid, np.nextafter(mid, np.float32(1))])
+        img = GrayImage(pixels)
+        p = tmp_path / "half.pgm"
+        save_image(img, p)
+        raster = np.frombuffer(p.read_bytes()[-pixels.size:], np.uint8).reshape(pixels.shape)
+        np.testing.assert_array_equal(raster, np.rint(pixels.astype(np.float64) * 255.0))
+        assert load_image(p).pixels.tobytes() == quantize_image(img).pixels.tobytes()
+
+    def test_loaded_pixels_are_float32_of_the_float64_quotient(self, tmp_path):
+        p = tmp_path / "levels.pgm"
+        p.write_bytes(b"P5 256 1 255\n" + bytes(range(256)))
+        pixels = load_image(p).pixels
+        assert pixels.dtype == np.float32 and not pixels.flags.writeable
+        assert pixels.tobytes() == (np.arange(256.0) / 255.0).astype(np.float32)[None].tobytes()
+
     def test_pgm_comments_are_skipped(self, tmp_path):
         p = tmp_path / "h.pgm"
         p.write_bytes(b"P5\n# a comment\n1 1\n255\n\x7f")
@@ -159,7 +198,7 @@ class TestImageIO:
             with pytest.raises(FormatError, match=re.escape(expected)):
                 load_image(p)
         else:
-            assert load_image(p).pixels.tolist() == [[expected / 255]]
+            assert load_image(p).pixels.tolist() == [[float(np.float32(expected / 255))]]
 
     def test_loaded_values_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(9)

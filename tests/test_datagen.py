@@ -13,6 +13,7 @@ from ranet.datagen import (
     MANIFEST_KEYS,
     NOISE_AMPLITUDE,
     SceneSpec,
+    _render,
     gen_dataset,
     gen_scene,
     head_mask,
@@ -107,6 +108,28 @@ class TestGenDataset:
         gen_dataset(spec, 4, 2, d2)
         for rel in sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file()):
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
+
+    def test_default_corpus_bytes_are_quantized_from_the_float64_render(self, tmp_path):
+        # the `ranet gen` default corpus; the float32 canvas would move one of its bytes
+        spec = SceneSpec()
+        manifest = gen_dataset(spec, 250, 0, tmp_path)
+        moved = 0
+        for i, entry in enumerate(json.loads(manifest.read_text())["train"]):
+            canvas = _render(spec, i)[0]
+            want = np.rint(255.0 * canvas)
+            raster = np.frombuffer((tmp_path / entry["image"]).read_bytes()[-canvas.size:],
+                                   np.uint8).reshape(canvas.shape)
+            np.testing.assert_array_equal(raster, want)
+            moved += int((np.rint(255.0 * canvas.astype(np.float32).astype(np.float64))
+                          != want).sum())
+        assert moved == 1
+
+    def test_gen_scene_holds_the_render_in_float32(self):
+        canvas, ann = _render(SPEC, 4)
+        scene = gen_scene(SPEC, 4)
+        assert canvas.dtype == np.float64
+        assert scene.image.pixels.tobytes() == canvas.astype(np.float32).tobytes()
+        assert scene.annotations.points.tobytes() == ann.points.tobytes()
 
     def test_load_split_round_trips_counts(self, tmp_path):
         spec = SceneSpec(width=32, height=32, seed=8)

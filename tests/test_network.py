@@ -207,11 +207,11 @@ class TestFeedback:
             return out
 
         monkeypatch.setattr(network, "ra_apply", recording)
-        img = random_image()
-        predict(GrayImage(img), init_params(SMALL), SMALL, dtype=np.float64)
+        img = GrayImage(random_image())
+        predict(img, init_params(SMALL), SMALL, dtype=np.float64)
         [((q, a), kwargs, via_net)] = calls
         assert kwargs == {}
-        assert q.data.tobytes() == img.tobytes()
+        assert q.data.tobytes() == img.pixels.astype(np.float64).tobytes()
         tape = Tape(np.float64)
         direct = ra_apply(tape.tensor(q.data), tape.tensor(a.data)).data
         assert via_net.tobytes() == direct.tobytes()
@@ -241,14 +241,14 @@ class TestPass2AndFullForward:
     def test_predict_matches_full_forward(self):
         cfg = NetConfig(seed=7)
         params = init_params(cfg)
-        img_arr = random_image(64, 64)
-        dm, pm = predict(GrayImage(img_arr), params, cfg)
+        img = GrayImage(random_image(64, 64))
+        dm, pm = predict(img, params, cfg)
         res = full_forward(
-            img_arr, np.zeros((0, 2)), params, cfg, *BAYES, requires_grad=False
+            img.pixels, np.zeros((0, 2)), params, cfg, *BAYES, requires_grad=False
         )
         # one forward underneath both: the same float32 values, bit for bit
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
-        assert pm.pixels.tobytes() == res.priority.data.astype(np.float64).tobytes()
+        assert pm.pixels.tobytes() == res.priority.data.tobytes()
         assert dm.count >= 0.0
 
     def test_heads_share_one_convolution(self, monkeypatch):
@@ -355,6 +355,26 @@ class TestEndToEndGradient:
 def test_full_forward_refuses_an_image_that_is_not_2d():
     with pytest.raises(ShapeError, match="expected a 2D image"):
         full_forward(np.zeros((1, 16, 16)), np.zeros((0, 2)), init_params(SMALL), SMALL, *BAYES)
+
+
+def test_float32_step_runs_on_the_read_only_image_itself():
+    # a float32 tape wraps GrayImage.pixels without a copy, so no primitive may write
+    # into its input: forward and backward give what they give on a writable copy
+    rng = np.random.default_rng(31)  # its own draws: no other test shifts
+    img = GrayImage(rng.uniform(0.0, 1.0, size=(32, 32)))
+    assert Tape(np.float32).tensor(img.pixels).data is img.pixels
+    params, heads = init_params(SMALL), np.array([[4.0, 5.0], [20.0, 27.5]])
+    runs = []
+    for image in (img.pixels, img.pixels.copy()):
+        res = full_forward(image, heads, params, SMALL, *BAYES, dtype=np.float32)
+        ad.backward(res.loss)
+        runs.append([res.loss.data.tobytes()] + [t.grad.tobytes() for t in res.leaves.values()])
+        tape = Tape(np.float32)
+        x = tape.tensor(image, requires_grad=True)  # the input's own gradient runs too
+        ad.backward(ad.sum_all(network.forward(x, bind(tape, params), SMALL)[1]))
+        runs[-1].append(x.grad.tobytes())
+    assert not img.pixels.flags.writeable
+    assert runs[0] == runs[1]
 
 
 def _held_by(fn):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import hand_built_rack
 from ranet import training
+from ranet.bayes import posteriors_from_distances
 from ranet.core import FormatError, GrayImage, PointAnnotations, Scene
 from ranet.datagen import SceneSpec, gen_scene
 from ranet.network import NetConfig, init_params
@@ -223,6 +225,20 @@ class TestTrainDriver:
             TrainConfig(seed=-1)
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_delta_is_the_one_the_farthest_head_of_a_crop_fits(self):
+        # a head and a pixel of a crop lie less than crop apart on each axis, so the
+        # squared distance over 2 delta^2 stays below crop^2 / delta^2
+        crop = 32
+        edge = crop / math.sqrt(float(np.finfo(np.float32).max))
+        with pytest.raises(ValueError, match="delta .* too small for float32"):
+            TrainConfig(crop=crop, delta=edge * 0.999)
+        cfg = TrainConfig(crop=crop, delta=edge * 1.001)
+        far = np.array([[crop - 1e-9, crop - 1e-9], [0.0, 0.0]])
+        probs = posteriors_from_distances(crop, crop, far, cfg.delta, cfg.d_ratio * crop,
+                                          np.float32)
+        assert np.isfinite(probs).all()
 
     def test_crop_need_not_hold_the_pooling_grids(self):
         # the default grids go up to 6; a 32 crop's 4x4 context map pools into overlapping bins
