@@ -48,11 +48,14 @@ hi = image.max(axis=1, keepdims=True)
 print("convex-combination envelope holds:",
       bool(((enhanced >= lo - 1e-12) & (enhanced <= hi + 1e-12)).all()))
 
-# Temperature flattens the weights toward a uniform mixture.
-for t in (1.0, 10.0, 1e6):
-    wt = enhance(image, priority, temperature=t)
-    spread = np.abs(wt - image.mean(axis=1, keepdims=True)).max()
-    print(f"temperature {t:>9.9g}: max deviation from row-mean blend {spread:.4f}")
+# A trained pass 1 can saturate its priority map to 1 everywhere. Then every
+# priority column is the same, the similarities no longer depend on the
+# priority column, each relevance row is uniform, and the block returns each
+# row's mean, to rounding: the enhanced image no longer says where the crowd is.
+row_mean = image.mean(axis=1, keepdims=True)
+for name, prio in (("band priority", priority), ("all-ones priority", np.ones((h, wd)))):
+    spread = np.abs(enhance(image, prio) - row_mean).max()
+    print(f"{name:>17}: max deviation from the row-mean blend {spread:.3g}")
 
 # The block stays differentiable end to end; gradients reach both inputs.
 tape = Tape(np.float64)

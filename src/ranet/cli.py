@@ -1,4 +1,4 @@
-"""Command-line surface: gen / train / eval / infer / ra.
+"""Command-line surface: gen / train / eval / infer.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error (a malformed or
 inconsistent file, a file-system error such as a missing file or a path through
@@ -20,7 +20,6 @@ from .core import FormatError, GrayImage, load_image, save_density, save_image
 from .datagen import SceneSpec, gen_dataset, load_split
 from .evaluate import evaluate_checkpoint
 from .network import NetConfig, predict
-from .region_aware import enhance
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
 
 USAGE_ERROR = 1
@@ -48,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--height", type=int)
     p_gen.add_argument("--min-heads", type=int)
     p_gen.add_argument("--max-heads", type=int)
-    p_gen.set_defaults(run=_cmd_gen, outputs=())  # its --out is a directory it creates
+    # outputs=(): its --out is a directory it creates
+    p_gen.set_defaults(run=_cmd_gen, outputs=(), inputs=lambda a: {})
 
     p_train = sub.add_parser("train", help="train on a generated dataset",
                              argument_default=argparse.SUPPRESS)
@@ -65,28 +65,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
     p_train.add_argument("--log", metavar="CSV", default=None)
-    p_train.set_defaults(run=_cmd_train, outputs=("--out", "--log"))
+    p_train.set_defaults(run=_cmd_train, outputs=("--out", "--log"),
+                         inputs=lambda a: {"--data": Path(a.data) / "manifest.json"})
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", choices=("train", "test"), required=True)
     p_eval.add_argument("-v", "--verbose", action="store_true")
-    p_eval.set_defaults(run=_cmd_eval, outputs=())
+    p_eval.set_defaults(run=_cmd_eval, outputs=(), inputs=lambda a: {})
 
     p_infer = sub.add_parser("infer", help="run inference on one image")
     p_infer.add_argument("--ckpt", required=True)
     p_infer.add_argument("--image", required=True)
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
-    p_infer.set_defaults(run=_cmd_infer, outputs=("--out", "--viz"))
-
-    p_ra = sub.add_parser("ra", help="apply the region-aware block to an image pair")
-    p_ra.add_argument("--image", required=True)
-    p_ra.add_argument("--priority", required=True)
-    p_ra.add_argument("--out", required=True)
-    p_ra.add_argument("--diff", default=None, help="optional |out - in| rendering (PGM)")
-    p_ra.set_defaults(run=_cmd_ra, outputs=("--out", "--diff"))
+    p_infer.set_defaults(run=_cmd_infer, outputs=("--out", "--viz"),
+                         inputs=lambda a: {"--ckpt": a.ckpt, "--image": a.image})
     return parser
 
 
@@ -130,15 +125,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_ra(args) -> int:
-    image = load_image(args.image)
-    enhanced = enhance(image.pixels, load_image(args.priority).pixels)
-    save_image(GrayImage(np.clip(enhanced, 0.0, 1.0)), args.out)
-    if args.diff:
-        _save_peak_normalized(np.abs(enhanced - image.pixels), args.diff)
-    return 0
-
-
 def _save_peak_normalized(values: np.ndarray, path) -> None:
     """Render a non-negative map as a PGM whose maximum is white."""
     peak = float(values.max())
@@ -146,9 +132,9 @@ def _save_peak_normalized(values: np.ndarray, path) -> None:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path that cannot be written, or that an earlier output
-    flag already names, before any input is read."""
-    named = {}
+    """Refuse an output path that cannot be written, or that an input file or an
+    earlier output flag already names, before any input is read."""
+    named = {os.path.realpath(path): flag for flag, path in args.inputs(args).items()}
     for flag in args.outputs:
         if (path := getattr(args, flag[2:])) is None:
             continue

@@ -4,7 +4,7 @@ The block mixes the columns of an input image by how strongly each one
 correlates with the columns of a priority map:
 
     S = Q^T A          similarity of image column i and priority column j
-    W = softmax(S / t) row-wise, so each row is a distribution over columns
+    W = softmax(S)     row-wise, so each row is a distribution over columns
     O = Q W^T          each output column is a convex combination of input
                        columns, injecting global context into the image
 
@@ -13,8 +13,6 @@ image path and the priority-map path.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,20 +29,11 @@ def similarity(q: Tensor, a: Tensor) -> Tensor:
     return ad.matmul(ad.transpose(q), a)
 
 
-def relevance(s: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-stochastic relevance weights: softmax over priority columns.
-
-    temperature divides the similarity matrix before the softmax.  Raw inner
-    products of length-n columns grow with n and saturate the softmax for
-    tall images; sqrt(n) is a reasonable setting there.  The default of 1
-    applies the softmax to the raw inner products.
-    """
+def relevance(s: Tensor) -> Tensor:
+    """Row-stochastic relevance weights: softmax of the raw similarities over
+    priority columns."""
     if s.data.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"relevance: similarity matrix must be square, got {s.shape}")
-    if not (0 < temperature < math.inf):
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    if temperature != 1.0:
-        s = ad.scale(s, 1.0 / temperature)
     return ad.softmax_rows(s)
 
 
@@ -58,15 +47,15 @@ def embed(q: Tensor, w: Tensor) -> Tensor:
     return ad.matmul(q, ad.transpose(w))
 
 
-def ra_apply(q: Tensor, a: Tensor, temperature: float = 1.0) -> Tensor:
+def ra_apply(q: Tensor, a: Tensor) -> Tensor:
     """Full block: similarity -> relevance -> embedding, differentiable in q and a."""
     s = similarity(q, a)
-    w = relevance(s, temperature)
+    w = relevance(s)
     return embed(q, w)
 
 
-def enhance(image: np.ndarray, priority: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def enhance(image: np.ndarray, priority: np.ndarray) -> np.ndarray:
     """Convenience: run the block on raw arrays at float64, without gradients."""
     tape = Tape(np.float64)
-    out = ra_apply(tape.tensor(image), tape.tensor(priority), temperature)
+    out = ra_apply(tape.tensor(image), tape.tensor(priority))
     return out.data

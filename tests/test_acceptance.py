@@ -67,7 +67,7 @@ class TestCriterion1:
     def test_region_aware_worked_example(self):
         t0 = time.perf_counter()
         tape = Tape(np.float64)
-        out = ra_apply(tape.tensor(np.eye(2)), tape.tensor(np.eye(2)), temperature=1.0)
+        out = ra_apply(tape.tensor(np.eye(2)), tape.tensor(np.eye(2)))
         expected = np.array([[0.7311, 0.2689], [0.2689, 0.7311]])
         err = np.abs(out.data - expected).max()
         elapsed = time.perf_counter() - t0

@@ -16,7 +16,6 @@ from ranet.cli import main
 from ranet.core import load_density, load_image, save_image, GrayImage
 from ranet.datagen import MANIFEST_KEYS, SceneSpec, load_manifest, load_split
 from ranet.network import NetConfig, init_params, predict
-from ranet.region_aware import enhance
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,27 +75,19 @@ def test_flag_defaults_are_the_config_defaults(dataset, tmp_path, monkeypatch):
         assert main(["train", "--data", str(dataset), "--out", str(ckpt),
                      "--epochs", "1", "--crop", "32", *flags]) == 0
         assert load_checkpoint(ckpt)[1] == want
-    # ranet ra runs the block at enhance's default temperature
-    rng = np.random.default_rng(12)
-    img, prio, out = tmp_path / "q.pgm", tmp_path / "a.pgm", tmp_path / "o.pgm"
-    save_image(GrayImage(rng.uniform(0, 1, size=(8, 6))), img)
-    save_image(GrayImage(rng.uniform(0, 1, size=(8, 6))), prio)
-    assert main(["ra", "--image", str(img), "--priority", str(prio), "--out", str(out)]) == 0
-    want = tmp_path / "want.pgm"
-    save_image(GrayImage(np.clip(enhance(load_image(img).pixels, load_image(prio).pixels),
-                                 0.0, 1.0)), want)
-    assert out.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--out", "d", "--noise", "0.1"],
-    ["train", "--data", "d", "--out", "m.rack", "--ra-temp", "2"],
-    ["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm", "--temp", "2"],
-], ids=["gen-noise", "train-ra-temp", "ra-temp"])
-def test_flags_of_fixed_settings_are_unknown(argv, capsys):
-    # the scene noise and the RA temperature are constants
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--out", "d", "--noise", "0.1"], "unrecognized arguments: --noise 0.1"),
+    (["train", "--data", "d", "--out", "m.rack", "--ra-temp", "2"],
+     "unrecognized arguments: --ra-temp 2"),
+    (["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"],
+     "invalid choice: 'ra'"),
+], ids=["gen-noise", "train-ra-temp", "ra"])
+def test_flags_of_fixed_settings_are_unknown(argv, message, capsys):
+    # the scene noise and the RA temperature are constants; the RA block runs only in the network
     assert main(argv) == 1
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # every long option of each command; a new one must be added here on purpose
@@ -107,7 +98,6 @@ OPTIONS = {
               "--out", "--seed", "--single-thread"],
     "eval": ["--ckpt", "--data", "--split", "--verbose"],
     "infer": ["--ckpt", "--image", "--out", "--viz"],
-    "ra": ["--diff", "--image", "--out", "--priority"],
 }
 
 
@@ -121,7 +111,7 @@ def command_options() -> dict[str, list[str]]:
 
 def test_long_options_by_command():
     assert command_options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 30
+    assert sum(map(len, OPTIONS.values())) == 26
 
 
 def test_readme_command_line_names_only_real_options():
@@ -415,72 +405,6 @@ class TestInfer:
         np.testing.assert_array_equal(load_density(out).values, want.astype(np.float32))
 
 
-class TestRaCommand:
-    def test_uniform_priority_gives_column_means(self, tmp_path, capsys):
-        rng = np.random.default_rng(8)
-        img_arr = rng.uniform(0, 1, size=(12, 10))
-        img_path, prio_path = tmp_path / "q.pgm", tmp_path / "a.pgm"
-        out_path = tmp_path / "o.pgm"
-        save_image(GrayImage(img_arr), img_path)
-        save_image(GrayImage(np.full((12, 10), 0.5)), prio_path)
-        rc = main(["ra", "--image", str(img_path), "--priority", str(prio_path),
-                   "--out", str(out_path)])
-        assert rc == 0
-        quantized = np.rint(img_arr * 255.0) / 255.0  # what the CLI actually read
-        expected = np.tile(quantized.mean(axis=1, keepdims=True), (1, 10))
-        out = load_image(out_path)
-        np.testing.assert_allclose(out.pixels, expected, atol=1.0 / 255.0)
-
-    def test_width_one_identity(self, tmp_path, capsys):
-        rng = np.random.default_rng(9)
-        img_arr = rng.uniform(0, 1, size=(9, 1))
-        img_path, prio_path, out_path = (
-            tmp_path / "q.pgm", tmp_path / "a.pgm", tmp_path / "o.pgm"
-        )
-        save_image(GrayImage(img_arr), img_path)
-        save_image(GrayImage(rng.uniform(0, 1, size=(9, 1))), prio_path)
-        rc = main(["ra", "--image", str(img_path), "--priority", str(prio_path),
-                   "--out", str(out_path)])
-        assert rc == 0
-        assert load_image(out_path).pixels.tobytes() == load_image(img_path).pixels.tobytes()
-
-    def test_output_within_row_envelope(self, tmp_path, capsys):
-        rng = np.random.default_rng(10)
-        img_arr = rng.uniform(0, 1, size=(8, 6))
-        img_path, prio_path, out_path, diff_path = (
-            tmp_path / "q.pgm", tmp_path / "a.pgm", tmp_path / "o.pgm", tmp_path / "d.pgm"
-        )
-        save_image(GrayImage(img_arr), img_path)
-        save_image(GrayImage(rng.uniform(0, 1, size=(8, 6))), prio_path)
-        rc = main(["ra", "--image", str(img_path), "--priority", str(prio_path),
-                   "--out", str(out_path), "--diff", str(diff_path)])
-        assert rc == 0
-        quantized = np.rint(img_arr * 255.0) / 255.0
-        out = load_image(out_path)
-        lo = quantized.min(axis=1, keepdims=True) - 1.0 / 255.0
-        hi = quantized.max(axis=1, keepdims=True) + 1.0 / 255.0
-        assert (out.pixels >= lo).all() and (out.pixels <= hi).all()
-        assert diff_path.exists()
-
-    def test_unwritable_diff_fails_before_any_output(self, tmp_path, capsys):
-        img, out = tmp_path / "q.pgm", tmp_path / "o.pgm"
-        save_image(GrayImage(np.full((4, 4), 0.5)), img)
-        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(out),
-                   "--diff", str(tmp_path / "missing" / "d.pgm")])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ") and "--diff" in err[0]
-        assert list(tmp_path.iterdir()) == [img]
-
-    def test_shape_mismatch_is_data_error(self, tmp_path, capsys):
-        rng = np.random.default_rng(11)
-        a, b, o = tmp_path / "a.pgm", tmp_path / "b.pgm", tmp_path / "o.pgm"
-        save_image(GrayImage(rng.uniform(0, 1, size=(8, 8))), a)
-        save_image(GrayImage(rng.uniform(0, 1, size=(6, 8))), b)
-        rc = main(["ra", "--image", str(a), "--priority", str(b), "--out", str(o)])
-        assert rc == 2
-        assert "8" in capsys.readouterr().err
-
-
 class TestOutputRule:
     """Every declared output flag is checked once, in order, before any input is read."""
 
@@ -489,7 +413,6 @@ class TestOutputRule:
         "train": ["train", "--data", "d", "--out", "m.rack"],
         "eval": ["eval", "--ckpt", "m.rack", "--data", "d", "--split", "test"],
         "infer": ["infer", "--ckpt", "m.rack", "--image", "q.pgm", "--out", "d.radm"],
-        "ra": ["ra", "--image", "q.pgm", "--priority", "a.pgm", "--out", "o.pgm"],
     }
 
     @pytest.mark.parametrize("command", MINIMAL)
@@ -519,15 +442,42 @@ class TestOutputRule:
         assert err == [f"usage error: --viz {Path(viz)}: --out names the same file"]
         assert list(tmp_path.iterdir()) == [tmp_path / "link"]
 
-    def test_ra_out_and_diff_naming_one_file(self, tmp_path, capsys):
-        img, out = tmp_path / "q.pgm", tmp_path / "o.pgm"
-        save_image(GrayImage(np.full((4, 4), 0.5)), img)
-        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(out),
-                   "--diff", str(out)])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1 and len(err) == 1 and err[0].startswith("usage error: --diff ")
-        assert "--out names the same file" in err[0]
-        assert list(tmp_path.iterdir()) == [img]
+    @pytest.mark.parametrize("flag, taken", [("--out", "--image"), ("--viz", "--ckpt")])
+    def test_infer_output_naming_an_input(self, flag, taken, dataset, checkpoint, tmp_path,
+                                          capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "predict", lambda *a, **k: calls.append(a) or predict(*a, **k))
+        inputs = {"--ckpt": tmp_path / "m.rack", "--image": tmp_path / "q.pgm"}
+        shutil.copy(checkpoint, inputs["--ckpt"])
+        shutil.copy(dataset / "test" / "scene_0000.pgm", inputs["--image"])
+        before = {path: path.read_bytes() for path in inputs.values()}
+        outputs = {"--out": tmp_path / "d.radm", "--viz": tmp_path / "v.pgm"}
+        outputs[flag] = inputs[taken]
+        rc = main(["infer", "--ckpt", str(inputs["--ckpt"]), "--image", str(inputs["--image"]),
+                   "--out", str(outputs["--out"]), "--viz", str(outputs["--viz"])])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and calls == []
+        assert captured.err == f"usage error: {flag} {inputs[taken]}: {taken} names the same file\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_output_naming_the_manifest(self, flag, dataset, tmp_path, capsys,
+                                              monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_split", lambda *a: calls.append(a) or load_split(*a))
+        data = tmp_path / "d"
+        shutil.copytree(dataset, data)
+        before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
+        manifest = data / "manifest.json"
+        outputs = {"--out": tmp_path / "m.rack", "--log": tmp_path / "l.csv"}
+        outputs[flag] = manifest
+        rc = main(["train", "--data", str(data), "--out", str(outputs["--out"]),
+                   "--log", str(outputs["--log"]), *FAST_TRAIN])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and calls == []
+        assert captured.err == f"usage error: {flag} {manifest}: --data names the same file\n"
+        assert {path: path.read_bytes() for path in data.rglob("*") if path.is_file()} == before
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_train_out_and_log_naming_one_file(self, dataset, tmp_path, capsys):
         out = tmp_path / "m"
@@ -554,34 +504,33 @@ class TestOutputRule:
         assert len(err) == 1 and err[0].startswith("error: --log ") and reason in err[0]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["train", "infer", "ra"])
+    @pytest.mark.parametrize("command", ["train", "infer"])
     def test_empty_optional_path_is_refused_like_an_empty_out(self, command, dataset,
                                                               checkpoint, tmp_path, capsys):
-        img = tmp_path / "q.pgm"
-        save_image(GrayImage(np.full((4, 4), 0.5)), img)
         flag, argv = {
             "train": ("--log", ["train", "--data", str(dataset),
                                 "--out", str(tmp_path / "m.rack"), *FAST_TRAIN]),
             "infer": ("--viz", ["infer", "--ckpt", str(checkpoint), "--image",
                                 str(dataset / "test" / "scene_0000.pgm"),
                                 "--out", str(tmp_path / "d.radm")]),
-            "ra": ("--diff", ["ra", "--image", str(img), "--priority", str(img),
-                              "--out", str(tmp_path / "o.pgm")]),
         }[command]
         rc = main([*argv, flag, ""])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {flag} .: is a directory\n"
-        assert list(tmp_path.iterdir()) == [img]
+        assert list(tmp_path.iterdir()) == []
 
-    def test_output_that_is_a_symlink_loop_is_one_error_line(self, tmp_path, capsys):
-        img, loop = tmp_path / "q.pgm", tmp_path / "loop"
-        save_image(GrayImage(np.full((4, 4), 0.5)), img)
+    def test_output_that_is_a_symlink_loop_is_one_error_line(self, dataset, checkpoint,
+                                                             tmp_path, capsys):
+        loop = tmp_path / "loop"
         loop.symlink_to("loop")
-        rc = main(["ra", "--image", str(img), "--priority", str(img), "--out", str(loop)])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
-        assert sorted(tmp_path.iterdir()) == [loop, img]
+        rc = main(["infer", "--ckpt", str(checkpoint),
+                   "--image", str(dataset / "test" / "scene_0000.pgm"), "--out", str(loop)])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == [loop]
 
 
 def rewrite_config(blob: bytes, edit) -> bytes:

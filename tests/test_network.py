@@ -198,7 +198,7 @@ class TestFeedback:
         np.testing.assert_array_equal(ra_apply(z, prio).data, 0.0)
 
     def test_delegates_bit_for_bit(self, monkeypatch):
-        # the forward pass enhances the image itself with ra_apply at its default temperature
+        # the forward pass enhances the image itself with ra_apply, on its operands alone
         calls = []
 
         def recording(*args, **kwargs):
