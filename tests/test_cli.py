@@ -442,7 +442,8 @@ class TestOutputRule:
         assert err == [f"usage error: --viz {Path(viz)}: --out names the same file"]
         assert list(tmp_path.iterdir()) == [tmp_path / "link"]
 
-    @pytest.mark.parametrize("flag, taken", [("--out", "--image"), ("--viz", "--ckpt")])
+    @pytest.mark.parametrize("flag, taken", [("--out", "--image"), ("--viz", "--ckpt"),
+                                             ("--out", "--ckpt"), ("--viz", "--image")])
     def test_infer_output_naming_an_input(self, flag, taken, dataset, checkpoint, tmp_path,
                                           capsys, monkeypatch):
         calls = []
@@ -459,6 +460,20 @@ class TestOutputRule:
         assert rc == 1 and captured.out == "" and calls == []
         assert captured.err == f"usage error: {flag} {inputs[taken]}: {taken} names the same file\n"
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_output_linking_to_an_input_is_refused(self, dataset, checkpoint, tmp_path,
+                                                   capsys):
+        # the rule compares the files a path reaches, so a symlink to the image is taken
+        image, link = tmp_path / "q.pgm", tmp_path / "link"
+        shutil.copy(dataset / "test" / "scene_0000.pgm", image)
+        link.symlink_to("q.pgm")
+        before = image.read_bytes()
+        rc = main(["infer", "--ckpt", str(checkpoint), "--image", str(image),
+                   "--out", str(link)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"usage error: --out {link}: --image names the same file\n"
+        assert image.read_bytes() == before and link.is_symlink()
 
     @pytest.mark.parametrize("flag", ["--out", "--log"])
     def test_train_output_naming_the_manifest(self, flag, dataset, tmp_path, capsys,

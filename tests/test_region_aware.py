@@ -67,6 +67,12 @@ class TestRelevance:
             w = relevance(tape.tensor(RNG.normal(0, 4, size=(6, 6))))
             np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_matches_brute_force(self):
+        s_arr = RNG.normal(0, 3, size=(5, 5))
+        tape = Tape()
+        w = relevance(tape.tensor(s_arr))
+        np.testing.assert_allclose(w.data, bf_relevance(s_arr), atol=1e-12)
+
     def test_shift_invariance_per_row(self):
         s_arr = RNG.normal(size=(4, 4))
         shifts = RNG.normal(size=(4, 1))
@@ -134,6 +140,14 @@ class TestRaApply:
         out = enhance(q_arr, a_arr)
         mean_col = q_arr.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(out, np.tile(mean_col, (1, 4)), atol=1e-12)
+
+    def test_enhance_runs_at_float64(self):
+        q_arr = RNG.uniform(size=(6, 5)).astype(np.float32)
+        a_arr = RNG.uniform(size=(6, 5)).astype(np.float32)
+        out = enhance(q_arr, a_arr)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, bf_ra(q_arr.astype(np.float64),
+                                              a_arr.astype(np.float64)), atol=1e-12)
 
     def test_gradient_wrt_image_and_priority(self):
         for _ in range(10):
@@ -208,7 +222,10 @@ def _ones(tape, *shape):
     (lambda t: relevance(_ones(t, 2, 3)), "relevance:"),
     (lambda t: embed(_ones(t, 2, 2, 2), _ones(t, 2, 2)), "embed:"),
     (lambda t: embed(_ones(t, 2, 3), _ones(t, 2, 2)), "embed:"),
-], ids=["similarity-3d", "relevance-not-square", "embed-3d", "embed-weight-shape"])
+    (lambda t: enhance(np.ones((8, 8)), np.ones((6, 8))),
+     r"similarity: shapes \(8, 8\) and \(6, 8\) differ"),
+], ids=["similarity-3d", "relevance-not-square", "embed-3d", "embed-weight-shape",
+        "enhance-shapes"])
 def test_refusal_names_its_operation(op, fragment):
     with pytest.raises(ShapeError, match=fragment):
         op(Tape(np.float64))
