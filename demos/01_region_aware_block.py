@@ -11,7 +11,8 @@ mixtures, which is how the enhancement injects global context.
 import numpy as np
 
 from ranet import Tape
-from ranet.region_aware import enhance, ra_apply, relevance, similarity
+from ranet import autodiff as ad
+from ranet.region_aware import ra_apply, relevance, similarity
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -37,7 +38,7 @@ image = image.clip(0, 1)
 priority = np.full((h, wd), 0.1)
 priority[:, 5:8] = 0.9
 
-enhanced = enhance(image, priority)
+enhanced = ra_apply(tape.tensor(image), tape.tensor(priority)).data
 print("column means before:", image.mean(axis=0))
 print("column means after: ", enhanced.mean(axis=0))
 
@@ -54,7 +55,7 @@ print("convex-combination envelope holds:",
 # row's mean, to rounding: the enhanced image no longer says where the crowd is.
 row_mean = image.mean(axis=1, keepdims=True)
 for name, prio in (("band priority", priority), ("all-ones priority", np.ones((h, wd)))):
-    spread = np.abs(enhance(image, prio) - row_mean).max()
+    spread = np.abs(ra_apply(tape.tensor(image), tape.tensor(prio)).data - row_mean).max()
     print(f"{name:>17}: max deviation from the row-mean blend {spread:.3g}")
 
 # The block stays differentiable end to end; gradients reach both inputs.
@@ -62,8 +63,6 @@ tape = Tape(np.float64)
 q = tape.tensor(image, requires_grad=True)
 a = tape.tensor(priority, requires_grad=True)
 loss = ra_apply(q, a)
-from ranet import autodiff as ad
-
 ad.backward(ad.sum_all(loss))
 print("gradient norms: image", float(np.linalg.norm(q.grad)),
       " priority", float(np.linalg.norm(a.grad)))

@@ -26,7 +26,7 @@ from .core import (
 from .datagen import SceneSpec, gen_dataset, gen_scene, load_split
 from .evaluate import EvalReport, count_metrics, evaluate_checkpoint, evaluate_scenes
 from .network import ForwardResult, NetConfig, forward, full_forward, init_params, predict
-from .region_aware import embed, enhance, ra_apply, relevance, similarity
+from .region_aware import embed, ra_apply, relevance, similarity
 from .training import (
     EpochStats,
     OptState,

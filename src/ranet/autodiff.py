@@ -211,14 +211,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    _require_finite(x.data, "scale")
-    if not abs(float(c)) <= float(np.finfo(x.tape.dtype).max):
-        raise ValueError(f"scale: factor {c:g} is not finite in {x.tape.dtype}")
-    c = x.tape.dtype.type(c)
-    return _result(x.data * c, (x, lambda g: g * c))
-
-
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
     mask = x.data > 0 if x.requires_grad else None  # subgradient at exactly 0 is 0
@@ -348,21 +340,6 @@ def softmax_rows(s: Tensor) -> Tensor:
         return y * (g - dot)
 
     return _result(y, (s, vjp))
-
-
-def normalize_columns(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each column of a 2D tensor to unit Euclidean norm."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"normalize_columns: expected a 2D tensor, got {x.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=0, keepdims=True) + eps * eps)
-    y = x.data / norms
-
-    def vjp(g):
-        # d(v/s)/dv = I/s - v v^T / s^3, applied column by column
-        dot = (g * y).sum(axis=0, keepdims=True)
-        return (g - y * dot) / norms
-
-    return _result(y, (x, vjp))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or format error (a malformed or
 inconsistent file, a file-system error such as a missing file or a path through
-a file, a wrong image shape, non-finite numbers).
+a file, a training image smaller than the crop, non-finite numbers).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import NumericError, ShapeError
 from .core import FormatError, GrayImage, load_image, save_density, save_image
-from .datagen import SceneSpec, gen_dataset, load_split
+from .datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest, load_split
 from .evaluate import evaluate_checkpoint
 from .network import NetConfig, predict
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--min-heads", type=int)
     p_gen.add_argument("--max-heads", type=int)
     # outputs=(): its --out is a directory it creates
-    p_gen.set_defaults(run=_cmd_gen, outputs=(), inputs=lambda a: {})
+    p_gen.set_defaults(run=_cmd_gen, outputs=(), inputs=lambda a: [])
 
     p_train = sub.add_parser("train", help="train on a generated dataset",
                              argument_default=argparse.SUPPRESS)
@@ -65,15 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--single-thread", action="store_true",
                          help="sequential sample evaluation (the default and only mode)")
     p_train.add_argument("--log", metavar="CSV", default=None)
-    p_train.set_defaults(run=_cmd_train, outputs=("--out", "--log"),
-                         inputs=lambda a: {"--data": Path(a.data) / "manifest.json"})
+    p_train.set_defaults(run=_cmd_train, outputs=("--out", "--log"), inputs=_dataset_files)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", choices=("train", "test"), required=True)
     p_eval.add_argument("-v", "--verbose", action="store_true")
-    p_eval.set_defaults(run=_cmd_eval, outputs=(), inputs=lambda a: {})
+    p_eval.set_defaults(run=_cmd_eval, outputs=(), inputs=lambda a: [])
 
     p_infer = sub.add_parser("infer", help="run inference on one image")
     p_infer.add_argument("--ckpt", required=True)
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--out", required=True, help="density map path (RADM)")
     p_infer.add_argument("--viz", default=None, help="optional grayscale rendering (PGM)")
     p_infer.set_defaults(run=_cmd_infer, outputs=("--out", "--viz"),
-                         inputs=lambda a: {"--ckpt": a.ckpt, "--image": a.image})
+                         inputs=lambda a: [("--ckpt", a.ckpt), ("--image", a.image)])
     return parser
 
 
@@ -131,19 +130,38 @@ def _save_peak_normalized(values: np.ndarray, path) -> None:
     save_image(GrayImage(values / peak if peak > 0 else np.zeros_like(values)), path)
 
 
+def _dataset_files(args) -> list[tuple[str, Path]]:
+    """train's inputs: the manifest and every image and annotation file it lists."""
+    manifest = Path(args.data) / "manifest.json"
+    doc = load_manifest(manifest)
+    return [("--data", manifest)] + [("--data", manifest.parent / entry[key])
+                                     for split in ("train", "test") for entry in doc[split]
+                                     for key in MANIFEST_KEYS]
+
+
+def _file_key(path):
+    """One key per file: hard links share (st_dev, st_ino); a path to no file yet
+    is known by its real path, so a dangling symlink meets its target."""
+    try:
+        st = os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(args) -> None:
-    """Refuse an output path that cannot be written, or that an input file or an
-    earlier output flag already names, before any input is read."""
-    named = {os.path.realpath(path): flag for flag, path in args.inputs(args).items()}
-    for flag in args.outputs:
-        if (path := getattr(args, flag[2:])) is None:
-            continue
-        out = Path(path)
+    """Refuse an output path that cannot be written, then one that an input file or
+    an earlier output flag already names, before the command reads its data."""
+    outputs = [(flag, Path(path)) for flag in args.outputs
+               if (path := getattr(args, flag[2:])) is not None]
+    for flag, out in outputs:
         if out.is_dir():
             raise IsADirectoryError(f"{flag} {out}: is a directory")
         if not out.parent.is_dir():
             raise FileNotFoundError(f"{flag} {out}: no directory {out.parent}")
-        first = named.setdefault(os.path.realpath(out), flag)  # Path.resolve raises on a loop
+    named = {_file_key(path): flag for flag, path in args.inputs(args)}
+    for flag, out in outputs:
+        first = named.setdefault(_file_key(out), flag)
         if first != flag:
             raise ValueError(f"{flag} {out}: {first} names the same file")
 

@@ -14,10 +14,8 @@ image path and the priority-map path.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import ShapeError, Tape, Tensor
+from .autodiff import ShapeError, Tensor
 
 
 def similarity(q: Tensor, a: Tensor) -> Tensor:
@@ -53,9 +51,3 @@ def ra_apply(q: Tensor, a: Tensor) -> Tensor:
     w = relevance(s)
     return embed(q, w)
 
-
-def enhance(image: np.ndarray, priority: np.ndarray) -> np.ndarray:
-    """Convenience: run the block on raw arrays at float64, without gradients."""
-    tape = Tape(np.float64)
-    out = ra_apply(tape.tensor(image), tape.tensor(priority))
-    return out.data

@@ -73,12 +73,11 @@ def bf_similarity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     return s
 
 
-def bf_relevance(s: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def bf_relevance(s: np.ndarray) -> np.ndarray:
     m = s.shape[0]
     w = np.zeros_like(s, dtype=np.float64)
     for i in range(m):
-        row = s[i] / temperature
-        shifted = row - row.max()
+        shifted = s[i] - s[i].max()
         e = np.exp(shifted)
         w[i] = e / e.sum()
     return w
@@ -94,8 +93,8 @@ def bf_embed(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return o
 
 
-def bf_ra(q: np.ndarray, a: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    return bf_embed(q, bf_relevance(bf_similarity(q, a), temperature))
+def bf_ra(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return bf_embed(q, bf_relevance(bf_similarity(q, a)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from ranet.core import (
 from ranet.datagen import SceneSpec, gen_dataset, load_split
 from ranet.evaluate import EvalReport, count_metrics, evaluate_scenes
 from ranet.network import NetConfig, full_forward, init_params
-from ranet.region_aware import enhance, ra_apply, relevance, similarity
+from ranet.region_aware import ra_apply, relevance, similarity
 from ranet.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 from conftest import ACCEPTANCE_RESULTS
@@ -115,7 +115,7 @@ class TestCriterion3:
             worst_sum = max(worst_sum, np.abs(w.sum(axis=1) - 1.0).max())
             if not (w.min() > 0.0 and w.max() < 1.0 or m == 1):
                 convex_ok = False
-            o = enhance(q_arr, a_arr)
+            o = ra_apply(tape.tensor(q_arr), tape.tensor(a_arr)).data
             lo = q_arr.min(axis=1, keepdims=True) - 1e-12
             hi = q_arr.max(axis=1, keepdims=True) + 1e-12
             if not ((o >= lo).all() and (o <= hi).all()):
@@ -180,10 +180,8 @@ class TestCriterion6:
             ("sigmoid", lambda t, x: ad.sigmoid(x), lambda: RNG.normal(size=(4, 4)), 0.0),
             ("softplus", lambda t, x: ad.softplus(x), lambda: RNG.normal(size=(4, 4)), 0.0),
             ("abs", lambda t, x: ad.abs_val(x), lambda: np.where(u(size=(4, 4)) < 0.5, -1, 1) * u(0.1, 1, (4, 4)), 1e-2),
-            ("scale", lambda t, x: ad.scale(x, -1.7), lambda: RNG.normal(size=(5,)), 0.0),
             ("reshape", lambda t, x: ad.reshape(x, (8, 2)), lambda: RNG.normal(size=(4, 4)), 0.0),
             ("transpose", lambda t, x: ad.transpose(x), lambda: RNG.normal(size=(3, 5)), 0.0),
-            ("normalize_columns", lambda t, x: ad.normalize_columns(x), lambda: RNG.normal(size=(5, 4)), 0.0),
             ("slice_channels", lambda t, x: ad.slice_channels(x, 1, 3), lambda: u(-1, 1, (4, 3, 3)), 0.0),
         ]
 

@@ -1,14 +1,18 @@
 """Forward values and finite-difference gradient checks for every primitive."""
 
 import gc
+import importlib.util
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import GraphError, NumericError, ShapeError, Tape
+from ranet.network import NetConfig, full_forward, init_params
+from ranet.training import TrainConfig
 
 from oracles import (
     ORACLE_TOL,
@@ -497,14 +501,6 @@ class TestElementwise:
         np.testing.assert_allclose(out, np.logaddexp(0, xs), rtol=1e-15)
         assert out[-1] == 700.0  # no overflow
 
-    @pytest.mark.filterwarnings("error")
-    def test_scale_factor_must_be_finite_in_the_tape_dtype(self):
-        x = Tape(np.float32).tensor([1.0, 2.0])
-        for c in (1e39, -1e39, np.inf, np.nan):
-            with pytest.raises(ValueError, match="scale: factor"):
-                ad.scale(x, c)
-        assert ad.scale(Tape(np.float64).tensor([1.0]), 1e39).data[0] == 1e39
-
     def test_nan_rejected(self):
         tape = Tape()
         bad = tape.tensor([np.nan])
@@ -536,8 +532,7 @@ class TestElementwise:
             fa = lambda v: float(run(v, b_arr)[2].data)
             assert check_gradient(fa, a_arr, a.grad, 4, RNG) < PRIMITIVE_TOL
 
-    def test_scale_add_sigmoid_softplus_abs_gradients(self):
-        assert_op_gradient(lambda t, x: ad.scale(x, -2.5), (4,))
+    def test_sigmoid_softplus_abs_relu_gradients(self):
         assert_op_gradient(lambda t, x: ad.sigmoid(x), (3, 3))
         assert_op_gradient(lambda t, x: ad.softplus(x), (3, 3))
         assert_op_gradient(
@@ -550,14 +545,6 @@ class TestElementwise:
             lambda t, x: ad.relu(x), (4, 4), min_mag=0.5,
             sampler=lambda rng: rng.uniform(0.05, 1.0, size=(4, 4)),
         )
-
-    def test_normalize_columns_unit_norms(self):
-        tape = Tape()
-        out = ad.normalize_columns(tape.tensor(RNG.normal(size=(5, 4))))
-        np.testing.assert_allclose(np.linalg.norm(out.data, axis=0), 1.0, atol=1e-9)
-
-    def test_normalize_columns_gradient(self):
-        assert_op_gradient(lambda t, x: ad.normalize_columns(x), (5, 4))
 
     def test_reshape_transpose_gradients(self):
         assert_op_gradient(lambda t, x: ad.reshape(x, (6, 2)), (3, 4))
@@ -760,7 +747,7 @@ class TestBackward:
         def run():
             tape = Tape(np.float64)
             x = tape.tensor(np.linspace(-1, 1, 24).reshape(2, 3, 4), requires_grad=True)
-            h = ad.softplus(ad.scale(x, 1.7))
+            h = ad.softplus(ad.mul(x, tape.tensor(np.full(x.shape, 1.7))))
             loss = ad.sum_all(ad.mul(h, h))
             ad.backward(loss)
             return loss.data.tobytes(), x.grad.tobytes()
@@ -797,8 +784,6 @@ REFUSALS = {
     "transpose-3d": (lambda t: ad.transpose(_ones(t, 1, 2, 3)), ShapeError, "transpose:"),
     "matmul-1d": (lambda t: ad.matmul(_ones(t, 3), _ones(t, 3, 2)), ShapeError, "matmul:"),
     "softmax_rows-1d": (lambda t: ad.softmax_rows(_ones(t, 3)), ShapeError, "softmax_rows:"),
-    "normalize_columns-3d": (lambda t: ad.normalize_columns(_ones(t, 1, 2, 2)), ShapeError,
-                             "normalize_columns:"),
     "concat_channels-empty": (lambda t: ad.concat_channels([]), ShapeError, "concat_channels:"),
     "slice_channels-2d": (lambda t: ad.slice_channels(_ones(t, 2, 3), 0, 1), ShapeError,
                           "slice_channels:"),
@@ -835,3 +820,22 @@ def test_refusal_names_its_operation(name):
     with pytest.raises(exc, match=fragment) as raised:
         op(Tape(np.float64))
     assert raised.type is exc  # a ShapeError is a ValueError: the exact type is the contract
+
+
+def test_the_network_runs_every_primitive(monkeypatch):
+    # the benchmark's list of primitives: public, defined in autodiff, not backward
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    prims, called = layers.primitives(), set()
+    for name in prims:
+        fn = getattr(ad, name)
+        monkeypatch.setattr(ad, name,
+                            lambda *a, name=name, fn=fn, **k: called.add(name) or fn(*a, **k))
+    train = TrainConfig()
+    image = np.random.default_rng(0).uniform(size=(16, 16))
+    res = full_forward(image, np.array([[7.0, 8.0]]), init_params(NetConfig()), NetConfig(),
+                       train.delta, train.d_ratio, dtype=np.float64)
+    ad.backward(res.loss)
+    assert sorted(set(prims) - called) == []

@@ -416,14 +416,16 @@ class TestOutputRule:
     }
 
     @pytest.mark.parametrize("command", MINIMAL)
-    def test_declared_outputs_are_attributes_of_the_namespace(self, command, tmp_path,
-                                                              monkeypatch):
+    def test_declared_outputs_are_attributes_of_the_namespace(self, command, dataset,
+                                                              tmp_path, monkeypatch):
         # a flag renamed later must not escape the check with an AttributeError
         monkeypatch.chdir(tmp_path)
+        shutil.copytree(dataset, "d")  # train's inputs are the files its manifest lists
+        before = sorted(tmp_path.rglob("*"))
         args = cli.build_parser().parse_args(self.MINIMAL[command])
         assert all(hasattr(args, flag[2:]) for flag in args.outputs)
         cli._check_outputs(args)
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("viz", ["d", "./d", "absolute", "link"])
     def test_infer_out_and_viz_naming_one_file(self, viz, dataset, checkpoint, tmp_path,
@@ -475,24 +477,50 @@ class TestOutputRule:
         assert captured.err == f"usage error: --out {link}: --image names the same file\n"
         assert image.read_bytes() == before and link.is_symlink()
 
-    @pytest.mark.parametrize("flag", ["--out", "--log"])
-    def test_train_output_naming_the_manifest(self, flag, dataset, tmp_path, capsys,
-                                              monkeypatch):
+    @pytest.mark.parametrize("flag, listed", [
+        ("--out", "manifest.json"), ("--log", "manifest.json"),
+        ("--log", "train/scene_0000.pgm"), ("--out", "test/scene_0001.json"),
+    ], ids=["out-manifest", "log-manifest", "log-scene-image", "out-scene-annotations"])
+    def test_train_output_naming_a_dataset_file(self, flag, listed, dataset, tmp_path, capsys,
+                                                monkeypatch):
+        # the manifest and every file it lists are train's inputs
         calls = []
         monkeypatch.setattr(cli, "load_split", lambda *a: calls.append(a) or load_split(*a))
         data = tmp_path / "d"
         shutil.copytree(dataset, data)
         before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
-        manifest = data / "manifest.json"
         outputs = {"--out": tmp_path / "m.rack", "--log": tmp_path / "l.csv"}
-        outputs[flag] = manifest
+        outputs[flag] = data / listed
         rc = main(["train", "--data", str(data), "--out", str(outputs["--out"]),
                    "--log", str(outputs["--log"]), *FAST_TRAIN])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and calls == []
-        assert captured.err == f"usage error: {flag} {manifest}: --data names the same file\n"
+        assert captured.err == f"usage error: {flag} {data / listed}: --data names the same file\n"
         assert {path: path.read_bytes() for path in data.rglob("*") if path.is_file()} == before
         assert list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_output_hard_linked_to_an_input_is_refused(self, command, dataset, checkpoint,
+                                                       tmp_path, capsys):
+        # a hard link is another name for the same file, whatever its path says
+        data = tmp_path / "d"
+        shutil.copytree(dataset, data)
+        image, hard = data / "test" / "scene_0000.pgm", tmp_path / "hard"
+        hard.hardlink_to(image)
+        before = image.read_bytes()
+        flag, taken, argv = {
+            "infer": ("--out", "--image", ["infer", "--ckpt", str(checkpoint),
+                                           "--image", str(image), "--out", str(hard)]),
+            "train": ("--log", "--data", ["train", "--data", str(data), "--out",
+                                          str(tmp_path / "m.rack"), "--log", str(hard),
+                                          *FAST_TRAIN]),
+        }[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"usage error: {flag} {hard}: {taken} names the same file\n"
+        assert image.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [data, hard]
 
     def test_train_out_and_log_naming_one_file(self, dataset, tmp_path, capsys):
         out = tmp_path / "m"

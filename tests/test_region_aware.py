@@ -7,13 +7,7 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
-from ranet.region_aware import (
-    embed,
-    enhance,
-    ra_apply,
-    relevance,
-    similarity,
-)
+from ranet.region_aware import embed, ra_apply, relevance, similarity
 
 from oracles import bf_embed, bf_ra, bf_relevance, bf_similarity, check_gradient
 
@@ -128,26 +122,18 @@ class TestRaApply:
             m = int(RNG.integers(1, 17))
             q_arr = RNG.uniform(size=(n, m))
             a_arr = RNG.uniform(size=(n, m))
-            np.testing.assert_allclose(
-                enhance(q_arr, a_arr), bf_ra(q_arr, a_arr), atol=1e-9
-            )
+            _, q, a = tensors(q_arr, a_arr)
+            np.testing.assert_allclose(ra_apply(q, a).data, bf_ra(q_arr, a_arr), atol=1e-9)
 
     def test_uniform_priority_gives_column_mean(self):
         # every column of A identical -> all inner products along j equal
         # -> W uniform -> every output column is the mean input column
         q_arr = RNG.uniform(size=(5, 4))
         a_arr = np.tile(RNG.uniform(size=(5, 1)), (1, 4))
-        out = enhance(q_arr, a_arr)
+        _, q, a = tensors(q_arr, a_arr)
+        out = ra_apply(q, a).data
         mean_col = q_arr.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(out, np.tile(mean_col, (1, 4)), atol=1e-12)
-
-    def test_enhance_runs_at_float64(self):
-        q_arr = RNG.uniform(size=(6, 5)).astype(np.float32)
-        a_arr = RNG.uniform(size=(6, 5)).astype(np.float32)
-        out = enhance(q_arr, a_arr)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, bf_ra(q_arr.astype(np.float64),
-                                              a_arr.astype(np.float64)), atol=1e-12)
 
     def test_gradient_wrt_image_and_priority(self):
         for _ in range(10):
@@ -184,7 +170,8 @@ class TestInvariants:
             m = int(RNG.integers(2, 9))
             q_arr = RNG.uniform(size=(n, m))
             a_arr = RNG.uniform(size=(n, m))
-            out = enhance(q_arr, a_arr)
+            _, q, a = tensors(q_arr, a_arr)
+            out = ra_apply(q, a).data
             lo = q_arr.min(axis=1, keepdims=True)
             hi = q_arr.max(axis=1, keepdims=True)
             assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
@@ -222,10 +209,10 @@ def _ones(tape, *shape):
     (lambda t: relevance(_ones(t, 2, 3)), "relevance:"),
     (lambda t: embed(_ones(t, 2, 2, 2), _ones(t, 2, 2)), "embed:"),
     (lambda t: embed(_ones(t, 2, 3), _ones(t, 2, 2)), "embed:"),
-    (lambda t: enhance(np.ones((8, 8)), np.ones((6, 8))),
+    (lambda t: ra_apply(_ones(t, 8, 8), _ones(t, 6, 8)),
      r"similarity: shapes \(8, 8\) and \(6, 8\) differ"),
 ], ids=["similarity-3d", "relevance-not-square", "embed-3d", "embed-weight-shape",
-        "enhance-shapes"])
+        "ra_apply-shapes"])
 def test_refusal_names_its_operation(op, fragment):
     with pytest.raises(ShapeError, match=fragment):
         op(Tape(np.float64))
@@ -237,7 +224,6 @@ PARAMETERS = {
     relevance: ["s"],
     embed: ["q", "w"],
     ra_apply: ["q", "a"],
-    enhance: ["image", "priority"],
 }
 
 
