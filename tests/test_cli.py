@@ -780,6 +780,23 @@ class TestMalformedData:
         (data / "manifest.json").write_text('{"train": [], "test": [{"image": 3}]}')
         assert self.eval_rc(data, checkpoint, capsys) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"train": [], "test": [', '{"train": []}', '{"train": [], "test": [{"image": 3}]}',
+    ], ids=["not-json", "missing-split", "entry-without-paths"])
+    def test_train_reads_its_inputs_from_a_malformed_manifest_as_a_data_error(
+            self, text, data, tmp_path, capsys):
+        # the output rule reads the manifest to learn train's inputs; its refusal is exit 2
+        manifest = data / "manifest.json"
+        manifest.write_text(text)
+        ckpt, log = tmp_path / "m.rack", tmp_path / "log.csv"
+        rc = main(["train", "--data", str(data), "--out", str(ckpt), "--log", str(log),
+                   *FAST_TRAIN])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 2 and captured.out == "" and len(err) == 1
+        assert err[0].startswith(f"error: {manifest}")
+        assert not ckpt.exists() and not log.exists()
+
     @pytest.mark.parametrize("name", ["manifest.json", "test/scene_0001.json"],
                              ids=["manifest", "annotations"])
     def test_json_nested_too_deeply(self, name, data, checkpoint, capsys):
