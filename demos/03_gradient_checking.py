@@ -72,8 +72,7 @@ for name in ("bb.block1.k", "ctx.fuse.k", "aspp.rate2.k", "dec.out.b", "head.out
     idx = np.unravel_index(int(np.abs(g).argmax()), g.shape)
 
     def loss_at(p):
-        return float(full_forward(img, heads, p, cfg, delta, d_ratio, dtype=np.float64,
-                                  requires_grad=False).loss.data)
+        return float(full_forward(img, heads, p, cfg, delta, d_ratio, dtype=np.float64).loss.data)
 
     pp = {k: v.copy().astype(np.float64) for k, v in params.items()}
     pp[name][idx] += 1e-5

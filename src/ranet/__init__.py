@@ -24,9 +24,9 @@ from .core import (
     save_image,
 )
 from .datagen import SceneSpec, gen_dataset, gen_scene, load_split
-from .evaluate import EvalReport, count_metrics, evaluate_checkpoint, evaluate_scenes
+from .evaluate import EvalReport, count_metrics, evaluate_scenes
 from .network import ForwardResult, NetConfig, forward, full_forward, init_params, predict
-from .region_aware import embed, ra_apply, relevance, similarity
+from .region_aware import ra_apply, relevance, similarity
 from .training import (
     EpochStats,
     OptState,

@@ -51,9 +51,9 @@ them no weight.  The forward keeps its H x W windows rather than the same
 slices, because a product over L instead of H*W columns changes the float64
 BLAS summation order, and predict would not stay bit-identical.  Bilinear
 resampling and adaptive mean pooling apply one matrix per axis,
-y = M_y x M_x^T per channel, with backward M_y^T g M_x.  avgpool adds each
-window's strided slices along W, then along H, scaling by 1/w after each
-axis, and its backward spreads g (1/w)^2 over the window.
+y = M_y x M_x^T per channel, with backward M_y^T g M_x.  avgpool adds the
+two strided slices of each 2x2 window along W, then along H, halving after
+each axis, and its backward spreads g/4 over the window.
 Backward drops each record once its edges have run, freeing the arrays
 they saved.  A tensor's .grad is its own array: the first contribution is
 copied, so a vjp may return its incoming gradient or a view of it.
@@ -489,32 +489,19 @@ def _pool_axis(size: int, grid: int, dtype) -> np.ndarray:
     return m
 
 
-def _mean_of_runs(runs: np.ndarray, axis: int, scale) -> np.ndarray:
-    """Mean over one short axis: its slices (strided views) added in order, then scaled."""
-    parts = np.moveaxis(runs, axis, 0)
-    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
-    for part in parts[2:]:
-        total += part
-    total *= scale
-    return total
-
-
-def avgpool(x: Tensor, window: int) -> Tensor:
-    """Non-overlapping mean pooling; spatial dims shrink by the window factor."""
+def avgpool(x: Tensor) -> Tensor:
+    """2x2 mean pooling: each spatial side halves."""
     if x.data.ndim != 3:
         raise ShapeError(f"avgpool: input must be [C,H,W], got {x.shape}")
-    C, H, W = x.shape
-    w = int(window)
-    if w < 1:
-        raise ValueError(f"avgpool: window must be positive, got {window}")
-    if w > H or w > W:
-        raise ValueError(f"avgpool: window {w} exceeds input {H}x{W}")
-    if H % w or W % w:
-        raise ValueError(f"avgpool: window {w} must divide input sides {H}x{W}")
-    s = x.tape.dtype.type(1.0 / w)
-    rows = _mean_of_runs(x.data.reshape(C, H, W // w, w), 3, s)
-    y = _mean_of_runs(rows.reshape(C, H // w, w, W // w), 2, s)
-    return _result(y, (x, lambda g: (g * s * s).repeat(w, axis=1).repeat(w, axis=2)))
+    _, H, W = x.shape
+    if H % 2 or W % 2:
+        raise ValueError(f"avgpool: input sides {H}x{W} must both be even")
+    half = x.tape.dtype.type(0.5)
+    rows = x.data[..., 0::2] + x.data[..., 1::2]
+    rows *= half
+    y = rows[:, 0::2] + rows[:, 1::2]
+    y *= half
+    return _result(y, (x, lambda g: (g * half * half).repeat(2, axis=1).repeat(2, axis=2)))
 
 
 def adaptive_avgpool(x: Tensor, grid: int) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import NumericError, ShapeError
 from .core import FormatError, GrayImage, load_image, save_density, save_image
 from .datagen import MANIFEST_KEYS, SceneSpec, gen_dataset, load_manifest, load_split
-from .evaluate import evaluate_checkpoint
+from .evaluate import evaluate_scenes
 from .network import NetConfig, predict
 from .training import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, train
 
@@ -106,7 +106,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate_checkpoint(args.ckpt, Path(args.data) / "manifest.json", args.split)
+    params, cfg = load_checkpoint(args.ckpt)
+    report = evaluate_scenes(load_split(Path(args.data) / "manifest.json", args.split),
+                             params, cfg.net)
     if args.verbose:
         for line in report.per_image_lines():
             print(line)

@@ -1,4 +1,4 @@
-"""Count-error metrics and checkpoint evaluation over dataset splits.
+"""Count-error metrics and the evaluation of a model on a list of scenes.
 
 MAE is the mean absolute count error.  MSE here is the square root of the
 mean squared count error (a root-mean-square; the conventional name in
@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Scene
-from .datagen import load_split
 from .network import ModelParams, NetConfig, predict
-from .training import load_checkpoint
 
 
 def count_metrics(estimated, ground_truth) -> tuple[float, float]:
@@ -68,8 +66,3 @@ def evaluate_scenes(scenes: list[Scene], params: ModelParams, cfg: NetConfig) ->
         ground_truth.append(float(len(scene.annotations)))
     return EvalReport(tuple(predicted), tuple(ground_truth))
 
-
-def evaluate_checkpoint(checkpoint_path, manifest_path, split: str) -> EvalReport:
-    """Load a checkpoint and score one split of a dataset manifest."""
-    params, cfg = load_checkpoint(checkpoint_path)
-    return evaluate_scenes(load_split(manifest_path, split), params, cfg.net)

@@ -168,7 +168,7 @@ def _backbone(x: Tensor, p: dict[str, Tensor]) -> list[Tensor]:
     for i in range(4):
         h = ad.relu(_conv(h, p, f"bb.block{i + 1}"))
         if i < 3:
-            h = ad.avgpool(h, 2)
+            h = ad.avgpool(h)
         feats.append(h)
     return feats
 
@@ -248,14 +248,13 @@ def full_forward(
     delta: float,
     d_ratio: float,
     dtype=np.float32,
-    requires_grad: bool = True,
 ) -> ForwardResult:
     """Both passes plus the point-supervision loss, on a fresh tape."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ShapeError(f"expected a 2D image, got shape {image.shape}")
     tape = Tape(dtype)
-    leaves = bind(tape, params, requires_grad)
+    leaves = bind(tape, params)
     prio2d, density2d = forward(tape.tensor(image), leaves, cfg)
     loss = bayes_loss(density2d, heads, delta, d_ratio)
     return ForwardResult(loss=loss, density=density2d, priority=prio2d, leaves=leaves)

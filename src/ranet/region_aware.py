@@ -1,4 +1,4 @@
-"""Column-wise similarity, relevance matrix, and relevance embedding.
+"""Column-wise similarity, relevance matrix, and the region-aware block.
 
 The block mixes the columns of an input image by how strongly each one
 correlates with the columns of a priority map:
@@ -35,19 +35,6 @@ def relevance(s: Tensor) -> Tensor:
     return ad.softmax_rows(s)
 
 
-def embed(q: Tensor, w: Tensor) -> Tensor:
-    """Recalibrate the image by its relevance weights: O = Q W^T."""
-    if q.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"embed: expected 2D operands, got {q.shape} and {w.shape}")
-    m = q.shape[1]
-    if w.shape != (m, m):
-        raise ShapeError(f"embed: weights must be {m}x{m} for input {q.shape}, got {w.shape}")
-    return ad.matmul(q, ad.transpose(w))
-
-
 def ra_apply(q: Tensor, a: Tensor) -> Tensor:
-    """Full block: similarity -> relevance -> embedding, differentiable in q and a."""
-    s = similarity(q, a)
-    w = relevance(s)
-    return embed(q, w)
-
+    """Full block, O = Q W^T with W = relevance(similarity(q, a)); differentiable in q and a."""
+    return ad.matmul(q, ad.transpose(relevance(similarity(q, a))))

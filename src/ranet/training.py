@@ -168,15 +168,8 @@ def train_epoch(
         grad_sum: dict[str, np.ndarray] = {k: np.zeros_like(a) for k, a in params.items()}
         for sample_pos, idx in enumerate(batch):
             crop = random_crop(scenes[idx], cfg.crop, rng)
-            res = full_forward(
-                crop.image.pixels,
-                crop.annotations.points,
-                params,
-                cfg.net,
-                cfg.delta,
-                cfg.d_ratio,
-                dtype=np.float32,
-            )
+            res = full_forward(crop.image.pixels, crop.annotations.points, params, cfg.net,
+                               cfg.delta, cfg.d_ratio)
             loss_val = float(res.loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingError(
@@ -220,9 +213,8 @@ def train(
     scenes: list[Scene],
     cfg: TrainConfig,
     log_path=None,
-    emit=print,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Full run from fresh parameters; emits one telemetry line per epoch."""
+    """Full run from fresh parameters; prints one telemetry line per epoch."""
     if not scenes:
         raise TrainingError("empty training set")
     for scene in scenes:
@@ -239,8 +231,7 @@ def train(
         for epoch in range(cfg.epochs):
             params, state, stats = train_epoch(params, scenes, cfg, state, epoch)
             history.append(stats)
-            if emit:
-                emit(stats.telemetry())
+            print(stats.telemetry())
             if log_fh:
                 log_fh.write(
                     f"{stats.epoch},{stats.mean_loss:.9g},{stats.mae_train:.9g},"

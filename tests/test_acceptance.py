@@ -58,7 +58,7 @@ def trained(default_corpus):
     scenes = load_split(default_corpus, "train")
     cfg = TrainConfig(seed=0)
     t0 = time.perf_counter()
-    params, history = train(scenes, cfg, emit=None)
+    params, history = train(scenes, cfg)
     elapsed = time.perf_counter() - t0
     return params, cfg, history, elapsed, default_corpus
 
@@ -173,7 +173,7 @@ class TestCriterion6:
         u = RNG.uniform
         return [
             ("softmax_rows", lambda t, x: ad.softmax_rows(x), lambda: RNG.normal(size=(4, 5)), 0.0),
-            ("avgpool", lambda t, x: ad.avgpool(x, 2), lambda: u(-1, 1, (2, 6, 6)), 0.0),
+            ("avgpool", lambda t, x: ad.avgpool(x), lambda: u(-1, 1, (2, 6, 6)), 0.0),
             ("adaptive_avgpool", lambda t, x: ad.adaptive_avgpool(x, 3), lambda: u(-1, 1, (2, 7, 7)), 0.0),
             ("upsample_bilinear", lambda t, x: ad.upsample_bilinear(x, 9, 7), lambda: u(-1, 1, (2, 4, 4)), 0.0),
             ("relu", lambda t, x: ad.relu(x), lambda: np.where(u(size=(4, 4)) < 0.5, -1, 1) * u(0.1, 1, (4, 4)), 1e-2),
@@ -320,11 +320,10 @@ class TestCriterion6:
         grads = {k: t.grad for k, t in res.leaves.items() if t.grad is not None}
 
         def loss_at(p):
-            return float(full_forward(img, heads, p, cfg, *bayes, dtype=np.float64,
-                                      requires_grad=False).loss.data)
+            return float(full_forward(img, heads, p, cfg, *bayes, dtype=np.float64).loss.data)
 
         names = sorted(grads)
-        h = 1e-4
+        h = 1e-5
         worst_e2e = 0.0
         trials = 0
         for name in (names * 3):

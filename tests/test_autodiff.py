@@ -231,18 +231,18 @@ class TestConv2d:
 class TestPooling:
     def test_window_mean(self):
         tape = Tape()
-        out = ad.avgpool(tape.tensor([[[1.0, 3.0], [5.0, 7.0]]]), 2)
+        out = ad.avgpool(tape.tensor([[[1.0, 3.0], [5.0, 7.0]]]))
         np.testing.assert_array_equal(out.data, [[[4.0]]])
 
     def test_constant_stays_constant(self):
         tape = Tape()
-        out = ad.avgpool(tape.tensor(np.full((3, 8, 8), 0.3)), 2)
+        out = ad.avgpool(tape.tensor(np.full((3, 8, 8), 0.3)))
         np.testing.assert_allclose(out.data, 0.3, atol=1e-15)
 
-    def test_window_too_large(self):
+    def test_odd_side_is_refused(self):
         tape = Tape()
-        with pytest.raises(ValueError):
-            ad.avgpool(tape.tensor(np.zeros((1, 2, 2))), 3)
+        with pytest.raises(ValueError, match="4x3"):
+            ad.avgpool(tape.tensor(np.zeros((1, 4, 3))))
 
     def test_adaptive_identity_at_full_grid(self):
         tape = Tape()
@@ -257,10 +257,10 @@ class TestPooling:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_avgpool_equals_adaptive_matrix_form(self, dtype):
-        # adaptive_avgpool still applies one matrix per axis; at window 2 the
-        # strided sums round exactly as those products do, forward and backward
+        # adaptive_avgpool still applies one matrix per axis; avgpool's strided
+        # sums round exactly as those products do, forward and backward
         outs, grads = [], []
-        for op in (lambda t: ad.avgpool(t, 2), lambda t: ad.adaptive_avgpool(t, 8)):
+        for op in (ad.avgpool, lambda t: ad.adaptive_avgpool(t, 8)):
             tape = Tape(dtype)
             x = tape.tensor(np.random.default_rng(8).normal(size=(3, 16, 16)),
                             requires_grad=True)
@@ -274,8 +274,7 @@ class TestPooling:
         assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_avgpool_gradient(self):
-        assert_op_gradient(lambda t, x: ad.avgpool(x, 2), (2, 6, 6))
-        assert_op_gradient(lambda t, x: ad.avgpool(x, 3), (2, 6, 9))
+        assert_op_gradient(lambda t, x: ad.avgpool(x), (2, 6, 6))
 
     def test_adaptive_gradient_nondivisible(self):
         assert_op_gradient(lambda t, x: ad.adaptive_avgpool(x, 3), (2, 7, 5))
@@ -389,14 +388,12 @@ class TestSpatialOracles:
         assert_close(out, expect)
         assert_close(gx, vjp(g))
 
-    @pytest.mark.parametrize("shape, window", [
-        ((2, 6, 6), 2), ((1, 6, 9), 3), ((2, 8, 4), 4), ((1, 4, 6), 1),
-    ])
-    def test_avgpool(self, shape, window):
+    @pytest.mark.parametrize("shape", [(2, 6, 6), (2, 8, 4), (1, 4, 6)])
+    def test_avgpool(self, shape):
         x = RNG.normal(size=shape)
-        grid_h, grid_w = shape[1] // window, shape[2] // window
+        grid_h, grid_w = shape[1] // 2, shape[2] // 2
         g = RNG.normal(size=(shape[0], grid_h, grid_w))
-        out, (gx,) = vjp_of(lambda t: ad.avgpool(t, window), x, cotangent=g)
+        out, (gx,) = vjp_of(ad.avgpool, x, cotangent=g)
         expect, vjp = bf_adaptive_pool(x, grid_h, grid_w)
         assert_close(out, expect)
         assert_close(gx, vjp(g))
@@ -704,7 +701,7 @@ class TestBackward:
                 x = tape.tensor(xv, requires_grad=True)
                 k = tape.tensor(k_arr)
                 h = ad.relu(ad.conv2d(x, k))
-                h = ad.avgpool(h, 2)
+                h = ad.avgpool(h)
                 h = ad.upsample_bilinear(h, 6, 6)
                 h = ad.sigmoid(ad.concat_channels([h, x]))
                 return x, ad.sum_all(ad.mul(h, h))
@@ -801,10 +798,8 @@ REFUSALS = {
                                                 dilation=1.5), ValueError, "conv2d:"),
     "conv2d-bias": (lambda t: ad.conv2d(_ones(t, 1, 3, 3), _ones(t, 2, 1, 3, 3), _ones(t, 3)),
                     ShapeError, "conv2d:"),
-    "avgpool-rank": (lambda t: ad.avgpool(_ones(t, 4, 4), 2), ShapeError, "avgpool:"),
-    "avgpool-window-0": (lambda t: ad.avgpool(_ones(t, 1, 4, 4), 0), ValueError, "avgpool:"),
-    "avgpool-window-not-dividing": (lambda t: ad.avgpool(_ones(t, 1, 6, 6), 4), ValueError,
-                                    "avgpool:"),
+    "avgpool-rank": (lambda t: ad.avgpool(_ones(t, 4, 4)), ShapeError, "avgpool:"),
+    "avgpool-odd-side": (lambda t: ad.avgpool(_ones(t, 1, 6, 5)), ValueError, "avgpool:"),
     "adaptive_avgpool-rank": (lambda t: ad.adaptive_avgpool(_ones(t, 4, 4), 2), ShapeError,
                               "adaptive_avgpool:"),
     "adaptive_avgpool-grid-0": (lambda t: ad.adaptive_avgpool(_ones(t, 1, 4, 4), 0),

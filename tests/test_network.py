@@ -243,9 +243,7 @@ class TestPass2AndFullForward:
         params = init_params(cfg)
         img = GrayImage(random_image(64, 64))
         dm, pm = predict(img, params, cfg)
-        res = full_forward(
-            img.pixels, np.zeros((0, 2)), params, cfg, *BAYES, requires_grad=False
-        )
+        res = full_forward(img.pixels, np.zeros((0, 2)), params, cfg, *BAYES)
         # one forward underneath both: the same float32 values, bit for bit
         assert dm.values.tobytes() == res.density.data.astype(np.float64).tobytes()
         assert pm.pixels.tobytes() == res.priority.data.tobytes()

@@ -1,4 +1,4 @@
-"""Similarity / relevance / embedding against brute-force oracles and invariants."""
+"""Similarity / relevance / the block against brute-force oracles and invariants."""
 
 import inspect
 
@@ -7,9 +7,9 @@ import pytest
 
 from ranet import autodiff as ad
 from ranet.autodiff import ShapeError, Tape
-from ranet.region_aware import embed, ra_apply, relevance, similarity
+from ranet.region_aware import ra_apply, relevance, similarity
 
-from oracles import bf_embed, bf_ra, bf_relevance, bf_similarity, check_gradient
+from oracles import bf_ra, bf_relevance, bf_similarity, check_gradient
 
 RNG = np.random.default_rng(91)
 
@@ -74,33 +74,6 @@ class TestRelevance:
         w1 = relevance(tape.tensor(s_arr)).data
         w2 = relevance(tape.tensor(s_arr + shifts)).data
         np.testing.assert_allclose(w1, w2, atol=1e-12)
-
-
-class TestEmbed:
-    def test_single_column_collapse(self):
-        q_arr = RNG.uniform(size=(4, 1))
-        tape = Tape()
-        out = embed(tape.tensor(q_arr), tape.tensor([[1.0]]))
-        np.testing.assert_array_equal(out.data, q_arr)
-
-    def test_zero_image(self):
-        tape = Tape()
-        w = relevance(tape.tensor(RNG.normal(size=(3, 3))))
-        out = embed(tape.tensor(np.zeros((2, 3))), w)
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
-
-    def test_identity_image_returns_w_transpose(self):
-        tape = Tape()
-        w = tape.tensor(IDENTITY_BLEND)
-        out = embed(tape.tensor(np.eye(2)), w)
-        np.testing.assert_allclose(out.data, IDENTITY_BLEND.T, atol=1e-12)
-
-    def test_matches_brute_force(self):
-        q_arr = RNG.uniform(size=(4, 3))
-        w_arr = bf_relevance(RNG.normal(size=(3, 3)))
-        tape = Tape()
-        out = embed(tape.tensor(q_arr), tape.tensor(w_arr))
-        np.testing.assert_allclose(out.data, bf_embed(q_arr, w_arr), atol=1e-12)
 
 
 class TestRaApply:
@@ -176,17 +149,6 @@ class TestInvariants:
             hi = q_arr.max(axis=1, keepdims=True)
             assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
-    def test_fixed_w_linearity(self):
-        q1 = RNG.uniform(size=(5, 4))
-        q2 = RNG.uniform(size=(5, 4))
-        w_arr = bf_relevance(RNG.normal(size=(4, 4)))
-        alpha, beta = 0.3, -1.7
-        tape = Tape()
-        w = tape.tensor(w_arr)
-        lhs = embed(tape.tensor(alpha * q1 + beta * q2), w).data
-        rhs = alpha * embed(tape.tensor(q1), w).data + beta * embed(tape.tensor(q2), w).data
-        np.testing.assert_allclose(lhs, rhs, atol=1e-6)
-
 
 class TestRelevanceMatrixType:
     def test_saturated_softmax_accepted(self):
@@ -207,12 +169,9 @@ def _ones(tape, *shape):
 @pytest.mark.parametrize("op, fragment", [
     (lambda t: similarity(_ones(t, 1, 2, 2), _ones(t, 2, 2)), "similarity:"),
     (lambda t: relevance(_ones(t, 2, 3)), "relevance:"),
-    (lambda t: embed(_ones(t, 2, 2, 2), _ones(t, 2, 2)), "embed:"),
-    (lambda t: embed(_ones(t, 2, 3), _ones(t, 2, 2)), "embed:"),
     (lambda t: ra_apply(_ones(t, 8, 8), _ones(t, 6, 8)),
      r"similarity: shapes \(8, 8\) and \(6, 8\) differ"),
-], ids=["similarity-3d", "relevance-not-square", "embed-3d", "embed-weight-shape",
-        "ra_apply-shapes"])
+], ids=["similarity-3d", "relevance-not-square", "ra_apply-shapes"])
 def test_refusal_names_its_operation(op, fragment):
     with pytest.raises(ShapeError, match=fragment):
         op(Tape(np.float64))
@@ -222,7 +181,6 @@ def test_refusal_names_its_operation(op, fragment):
 PARAMETERS = {
     similarity: ["q", "a"],
     relevance: ["s"],
-    embed: ["q", "w"],
     ra_apply: ["q", "a"],
 }
 

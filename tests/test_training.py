@@ -162,7 +162,7 @@ class TestTrainEpoch:
     def test_empty_dataset_rejected_before_the_log_is_opened(self, tmp_path):
         log = tmp_path / "log.csv"
         with pytest.raises(TrainingError, match="empty training set"):
-            train([], self.cfg(), log_path=log, emit=None)
+            train([], self.cfg(), log_path=log)
         assert not log.exists()
 
     def test_overfit_two_samples(self, monkeypatch):
@@ -207,7 +207,7 @@ class TestTrainDriver:
         scenes = small_scenes(2)
         cfg = TrainConfig(batch_size=2, crop=32, epochs=2, seed=1, **FAST_BAYES, net=FAST_NET)
         log = tmp_path / "log.csv"
-        train(scenes, cfg, log_path=log, emit=None)
+        train(scenes, cfg, log_path=log)
         rows = log.read_text().strip().splitlines()
         assert rows[0] == "epoch,loss,mae_train,pass1_grad_min,pass1_grad_mean"
         assert len(rows) == 3
@@ -216,7 +216,7 @@ class TestTrainDriver:
         scenes = small_scenes(2, size=32)
         cfg = TrainConfig(crop=64, epochs=1, **FAST_BAYES, net=FAST_NET)
         with pytest.raises(TrainingError):
-            train(scenes, cfg, emit=None)
+            train(scenes, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
