@@ -388,7 +388,7 @@ class TestSpatialOracles:
         assert_close(out, expect)
         assert_close(gx, vjp(g))
 
-    @pytest.mark.parametrize("shape", [(2, 6, 6), (2, 8, 4), (1, 4, 6)])
+    @pytest.mark.parametrize("shape", [(2, 6, 6), (2, 8, 4), (1, 4, 6), (3, 10, 2)])
     def test_avgpool(self, shape):
         x = RNG.normal(size=shape)
         grid_h, grid_w = shape[1] // 2, shape[2] // 2
@@ -800,6 +800,8 @@ REFUSALS = {
                     ShapeError, "conv2d:"),
     "avgpool-rank": (lambda t: ad.avgpool(_ones(t, 4, 4)), ShapeError, "avgpool:"),
     "avgpool-odd-side": (lambda t: ad.avgpool(_ones(t, 1, 6, 5)), ValueError, "avgpool:"),
+    "avgpool-odd-height": (lambda t: ad.avgpool(_ones(t, 1, 5, 6)), ValueError,
+                           "avgpool: input sides 5x6"),
     "adaptive_avgpool-rank": (lambda t: ad.adaptive_avgpool(_ones(t, 4, 4), 2), ShapeError,
                               "adaptive_avgpool:"),
     "adaptive_avgpool-grid-0": (lambda t: ad.adaptive_avgpool(_ones(t, 1, 4, 4), 0),

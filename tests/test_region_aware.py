@@ -98,6 +98,24 @@ class TestRaApply:
             _, q, a = tensors(q_arr, a_arr)
             np.testing.assert_allclose(ra_apply(q, a).data, bf_ra(q_arr, a_arr), atol=1e-9)
 
+    def test_zero_image_gives_zero(self):
+        rng = np.random.default_rng(1)
+        _, q, a = tensors(np.zeros((3, 4)), rng.normal(size=(3, 4)))
+        np.testing.assert_array_equal(ra_apply(q, a).data, np.zeros((3, 4)))
+
+    def test_identity_image_returns_relevance_transpose(self):
+        # Q = I makes S = A, so O = W^T with W the row softmax of A
+        a_arr = np.random.default_rng(2).normal(size=(4, 4))
+        _, q, a = tensors(np.eye(4), a_arr)
+        np.testing.assert_allclose(ra_apply(q, a).data, bf_relevance(a_arr).T, atol=1e-12)
+
+    def test_is_image_times_stage_relevance_transpose(self):
+        # the block is exactly Q W^T over the similarity and relevance stages
+        rng = np.random.default_rng(3)
+        _, q, a = tensors(rng.uniform(size=(6, 5)), rng.uniform(size=(6, 5)))
+        w = relevance(similarity(q, a)).data
+        np.testing.assert_allclose(ra_apply(q, a).data, q.data @ w.T, atol=1e-12)
+
     def test_uniform_priority_gives_column_mean(self):
         # every column of A identical -> all inner products along j equal
         # -> W uniform -> every output column is the mean input column
@@ -149,6 +167,16 @@ class TestInvariants:
             hi = q_arr.max(axis=1, keepdims=True)
             assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
+    def test_joint_column_permutation_permutes_output(self):
+        # permuting the columns of Q and A together permutes S and W on both
+        # sides, so the output columns follow the same permutation
+        rng = np.random.default_rng(4)
+        q_arr, a_arr = rng.uniform(size=(5, 6)), rng.uniform(size=(5, 6))
+        perm = rng.permutation(6)
+        out = ra_apply(*tensors(q_arr, a_arr)[1:]).data
+        out_perm = ra_apply(*tensors(q_arr[:, perm], a_arr[:, perm])[1:]).data
+        np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-12)
+
 
 class TestRelevanceMatrixType:
     def test_saturated_softmax_accepted(self):
@@ -171,7 +199,8 @@ def _ones(tape, *shape):
     (lambda t: relevance(_ones(t, 2, 3)), "relevance:"),
     (lambda t: ra_apply(_ones(t, 8, 8), _ones(t, 6, 8)),
      r"similarity: shapes \(8, 8\) and \(6, 8\) differ"),
-], ids=["similarity-3d", "relevance-not-square", "ra_apply-shapes"])
+    (lambda t: ra_apply(_ones(t, 2, 2, 2), _ones(t, 2, 2, 2)), "similarity: expected 2D"),
+], ids=["similarity-3d", "relevance-not-square", "ra_apply-shapes", "ra_apply-3d"])
 def test_refusal_names_its_operation(op, fragment):
     with pytest.raises(ShapeError, match=fragment):
         op(Tape(np.float64))
