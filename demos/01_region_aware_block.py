@@ -10,8 +10,8 @@ mixtures, which is how the enhancement injects global context.
 
 import numpy as np
 
-from ranet import Tape
 from ranet import autodiff as ad
+from ranet.autodiff import Tape
 from ranet.region_aware import ra_apply, relevance, similarity
 
 np.set_printoptions(precision=4, suppress=True)

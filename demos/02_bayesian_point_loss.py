@@ -10,8 +10,8 @@ normalized in log space so that far pixels cannot underflow.
 
 import numpy as np
 
-from ranet import Tape
 from ranet import autodiff as ad
+from ranet.autodiff import Tape
 from ranet.bayes import bayes_loss, expected_counts, posteriors_from_distances
 
 np.set_printoptions(precision=5, suppress=True)

@@ -9,8 +9,8 @@ it, with the arithmetic in float64.
 
 import numpy as np
 
-from ranet import Tape
 from ranet import autodiff as ad
+from ranet.autodiff import Tape
 from ranet.network import NetConfig, full_forward, init_params
 
 

@@ -11,8 +11,16 @@ import tempfile
 
 import numpy as np
 
-from ranet import SceneSpec, gen_dataset, gen_scene, save_image
-from ranet.datagen import HEAD_RADIUS_HI, HEAD_RADIUS_LO, head_mask, load_split
+from ranet.core import save_image
+from ranet.datagen import (
+    HEAD_RADIUS_HI,
+    HEAD_RADIUS_LO,
+    SceneSpec,
+    gen_dataset,
+    gen_scene,
+    head_mask,
+    load_split,
+)
 
 spec = SceneSpec(seed=42)
 print("scene spec:", spec)

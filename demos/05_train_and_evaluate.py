@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Train the miniature feedback network on a small corpus and evaluate it.
 
-Kept deliberately small (60 train scenes, 15 epochs, ~2 minutes) so it is
-a demo, not a benchmark; the full default recipe lives in the acceptance
-suite and the CLI (`ranet gen` / `ranet train` / `ranet eval`).
+Kept deliberately small (60 train scenes, 15 epochs, about 8 s on two cores)
+so it is a demo, not a benchmark; the full default recipe lives in the
+acceptance suite and the CLI (`ranet gen` / `ranet train` / `ranet eval`).
 """
 
 import pathlib
@@ -12,10 +12,10 @@ import time
 
 import numpy as np
 
-from ranet import SceneSpec, TrainConfig, gen_dataset, load_split, save_checkpoint
+from ranet.datagen import SceneSpec, gen_dataset, load_split
 from ranet.evaluate import evaluate_scenes
 from ranet.network import predict
-from ranet.training import train
+from ranet.training import TrainConfig, save_checkpoint, train
 
 # The corpus and the checkpoint go to temporary directories removed on exit.
 with tempfile.TemporaryDirectory(prefix="run_") as tmp:
@@ -54,6 +54,6 @@ with tempfile.TemporaryDirectory(prefix="run_") as tmp:
     print(f"checkpoint: {ckpt.stat().st_size} bytes")
 print()
 print("CLI equivalent:")
-print("  ranet gen --out data --train 40 --test 10 --seed 0")
-print("  ranet train --data data --out model.rack --epochs 10 --seed 0")
+print("  ranet gen --out data --train 60 --test 10 --seed 0")
+print("  ranet train --data data --out model.rack --epochs 15 --seed 0")
 print("  ranet eval --ckpt model.rack --data data --split test")

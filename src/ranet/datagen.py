@@ -56,6 +56,9 @@ class SceneSpec:
             )
         if not (0 <= self.min_heads <= self.max_heads):
             raise ValueError("need 0 <= min_heads <= max_heads")
+        for name in ("width", "height", "max_heads"):  # numpy's draws and array sides are int64
+            if getattr(self, name) > np.iinfo(np.int64).max:
+                raise ValueError(f"{name} must be below 2**63, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -132,20 +135,22 @@ def gen_dataset(spec: SceneSpec, n_train: int, n_test: int, out_dir) -> Path:
     Test scenes use indices n_train .. n_train + n_test - 1, so the same
     spec always produces the same bytes for every file.  Each image is
     quantized from its float64 canvas, before the float32 rounding of
-    GrayImage could move a pixel across a byte boundary.
+    GrayImage could move a pixel across a byte boundary.  Directories are made
+    after a scene renders, so a spec numpy cannot render leaves none behind.
     """
     if n_train < 0 or n_test < 0:
         raise ValueError(f"scene counts must be >= 0, got {n_train} train / {n_test} test")
     out = Path(out_dir)
     manifest = {"train": [], "test": []}
     for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
-        (out / split).mkdir(parents=True, exist_ok=True)
         for i in range(count):
             canvas, ann = _render(spec, base + i)
+            (out / split).mkdir(parents=True, exist_ok=True)
             stem = f"{split}/scene_{i:04d}"
             save_image(GrayImage(np.rint(canvas * 255.0) / 255.0), out / f"{stem}.pgm")
             save_annotations(ann, out / f"{stem}.json")
             manifest[split].append({"image": f"{stem}.pgm", "annotations": f"{stem}.json"})
+    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest_path

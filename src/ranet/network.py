@@ -79,27 +79,27 @@ class ForwardResult:
 # ---------------------------------------------------------------------------
 
 
-def _conv_spec(cfg: NetConfig) -> list[tuple[str, int, int, int, float | None]]:
-    """(name, out_ch, in_ch, kernel_side, bias_init) for every conv, fixed order."""
+def _conv_spec(cfg: NetConfig) -> list[tuple[str, int, int, int]]:
+    """(name, out_ch, in_ch, kernel_side) for every conv, fixed order."""
     w, cc, ac, dc, hc = WIDTHS, CONTEXT_CHANNELS, ASPP_CHANNELS, DECODER_CHANNELS, HEAD_CHANNELS
-    spec: list[tuple[str, int, int, int, float | None]] = []
+    spec: list[tuple[str, int, int, int]] = []
 
     for i, (in_ch, out_ch) in enumerate(zip((1, *w), w)):
-        spec.append((f"bb.block{i + 1}", out_ch, in_ch, 3, 0.0))
+        spec.append((f"bb.block{i + 1}", out_ch, in_ch, 3))
     for g in cfg.pool_grids:
-        spec.append((f"ctx.scale{g}", cc, w[-2], 1, 0.0))
-    spec.append(("ctx.fuse", w[-2], w[-2] + cc * len(cfg.pool_grids), 1, 0.0))
+        spec.append((f"ctx.scale{g}", cc, w[-2], 1))
+    spec.append(("ctx.fuse", w[-2], w[-2] + cc * len(cfg.pool_grids), 1))
     for r in cfg.dilation_rates:
-        spec.append((f"aspp.rate{r}", ac, w[-1], 3, 0.0))
-    spec.append(("aspp.fuse", w[-1] // 2, ac * len(cfg.dilation_rates), 1, 0.0))
-    spec.append(("dec.fuse1", dc, w[-2] + w[-1] // 2 + w[1], 1, 0.0))
-    spec.append(("dec.fuse2", dc // 2, dc + w[0], 1, 0.0))
-    spec.append(("dec.out", 1, dc // 2, 1, 0.0))
-    spec.append(("head.fuse1", hc, w[-1] + w[1], 1, 0.0))
-    spec.append(("head.fuse2", hc, hc + w[0], 1, 0.0))
-    spec.append(("head.feat", hc, hc, 3, 0.0))
-    spec.append(("head.att", hc, hc, 3, 0.0))
-    spec.append(("head.out", 1, hc, 1, DENSITY_BIAS))
+        spec.append((f"aspp.rate{r}", ac, w[-1], 3))
+    spec.append(("aspp.fuse", w[-1] // 2, ac * len(cfg.dilation_rates), 1))
+    spec.append(("dec.fuse1", dc, w[-2] + w[-1] // 2 + w[1], 1))
+    spec.append(("dec.fuse2", dc // 2, dc + w[0], 1))
+    spec.append(("dec.out", 1, dc // 2, 1))
+    spec.append(("head.fuse1", hc, w[-1] + w[1], 1))
+    spec.append(("head.fuse2", hc, hc + w[0], 1))
+    spec.append(("head.feat", hc, hc, 3))
+    spec.append(("head.att", hc, hc, 3))
+    spec.append(("head.out", 1, hc, 1))
     return spec
 
 
@@ -107,13 +107,15 @@ def init_params(cfg: NetConfig) -> ModelParams:
     """Fan-in scaled uniform weights, deterministic per seed; float32."""
     rng = np.random.default_rng(cfg.seed)
     params: ModelParams = {}
-    for name, out_ch, in_ch, k, bias_init in _conv_spec(cfg):
+    for name, out_ch, in_ch, k in _conv_spec(cfg):
         fan_in = in_ch * k * k
         bound = np.sqrt(6.0 / fan_in)
+        bias_init = 0.0
         if name == "head.out":
             # keep the initial density bias-dominated so the count starts at a
             # controlled scale instead of whatever the random features produce
             bound *= 0.1
+            bias_init = DENSITY_BIAS
         params[f"{name}.k"] = rng.uniform(
             -bound, bound, size=(out_ch, in_ch, k, k)
         ).astype(np.float32)
@@ -124,7 +126,7 @@ def init_params(cfg: NetConfig) -> ModelParams:
 def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter the config implies, in init_params order."""
     shapes = {}
-    for name, out_ch, in_ch, k, _ in _conv_spec(cfg):
+    for name, out_ch, in_ch, k in _conv_spec(cfg):
         shapes[f"{name}.k"] = (out_ch, in_ch, k, k)
         shapes[f"{name}.b"] = (out_ch,)
     return shapes

@@ -195,6 +195,20 @@ class TestGen:
         assert capsys.readouterr().err == "usage error: need 0 <= min_heads <= max_heads\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, rc, field", [
+        (["--max-heads", "100000000000000000000"], 1, "max_heads"),
+        (["--width", "100000000000000000000"], 1, "width"),
+        # 512 PiB: within numpy's size limit, beyond any 57-bit address space
+        (["--width", "268435456", "--height", "268435456"], 2, None),
+    ], ids=["max-heads", "width", "area"])
+    def test_setting_numpy_cannot_draw_leaves_no_directory(self, flags, rc, field, tmp_path,
+                                                          capsys):
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), *flags]) == rc
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and (field is None or field in err[0])
+        assert not out.exists()
+
     def test_zero_counts_write_an_empty_manifest(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--train", "0", "--test", "0"]) == 0
         doc = load_manifest(tmp_path / "d" / "manifest.json")
